@@ -299,6 +299,7 @@ struct KernelRun {
   double wall_ms = 0.0;
   int64_t pairs = 0;
   int64_t candidates = 0;
+  int64_t position_rejects = 0;
   int64_t signature_rejects = 0;
   int64_t verified = 0;
 };
@@ -317,6 +318,7 @@ KernelRun RunKernel(const StringCorpus& corpus, const SimJoinWorkload& w,
   run.wall_ms = static_cast<double>(timer.ElapsedMicros()) / 1000.0;
   run.pairs = static_cast<int64_t>(pairs.size());
   run.candidates = metrics.counter("simjoin.candidates").Value();
+  run.position_rejects = metrics.counter("simjoin.position_rejects").Value();
   run.signature_rejects = metrics.counter("simjoin.signature_rejects").Value();
   run.verified = metrics.counter("simjoin.verified").Value();
   return run;
@@ -329,10 +331,11 @@ std::string KernelJson(const KernelRun& run, int64_t records) {
                  : 0;
   return StrPrintf(
       "{\"wall_ms\": %.3f, \"records_per_sec\": %lld, "
-      "\"candidates\": %lld, \"signature_rejects\": %lld, "
-      "\"verified\": %lld, \"pairs\": %lld}",
+      "\"candidates\": %lld, \"position_rejects\": %lld, "
+      "\"signature_rejects\": %lld, \"verified\": %lld, \"pairs\": %lld}",
       run.wall_ms, static_cast<long long>(records_per_sec),
       static_cast<long long>(run.candidates),
+      static_cast<long long>(run.position_rejects),
       static_cast<long long>(run.signature_rejects),
       static_cast<long long>(run.verified),
       static_cast<long long>(run.pairs));

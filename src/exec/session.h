@@ -85,10 +85,11 @@ struct RetryOptions {
 // propagation one.
 struct PropagationOptions {
   bool enabled = false;
-  // Re-rank each round's candidate tasks by expected deduction yield (the
-  // number of still-askable edges one answer for the task resolves — the
-  // expected-optimal labeling-order heuristic), descending, stable over the
-  // base cost-control order. Only read when `enabled` is set.
+  // Keep each round's base cost-control order but defer duplicates: a task
+  // whose (predicate, endpoint-cluster pair) already has an earlier task in
+  // the order moves, order kept, behind the first task of every pair. One
+  // answer for the first task resolves its pair's other edges by deduction,
+  // so a duplicate's expected yield is ~0. Only read when `enabled` is set.
   bool expected_yield_order = true;
 };
 

@@ -1,7 +1,9 @@
 #include "similarity/sim_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -95,6 +97,7 @@ std::vector<SimPair> ConcatChunks(std::vector<std::vector<SimPair>> chunks) {
 
 struct FunnelCounters {
   Counter* candidates = nullptr;
+  Counter* position_rejects = nullptr;
   Counter* signature_rejects = nullptr;
   Counter* verified = nullptr;
   Counter* pairs = nullptr;
@@ -104,6 +107,7 @@ FunnelCounters MakeFunnel(MetricsRegistry* metrics) {
   FunnelCounters funnel;
   if (metrics != nullptr) {
     funnel.candidates = &metrics->counter("simjoin.candidates");
+    funnel.position_rejects = &metrics->counter("simjoin.position_rejects");
     funnel.signature_rejects = &metrics->counter("simjoin.signature_rejects");
     funnel.verified = &metrics->counter("simjoin.verified");
     funnel.pairs = &metrics->counter("simjoin.pairs");
@@ -113,6 +117,7 @@ FunnelCounters MakeFunnel(MetricsRegistry* metrics) {
 
 struct FunnelDelta {
   int64_t candidates = 0;
+  int64_t position_rejects = 0;
   int64_t signature_rejects = 0;
   int64_t verified = 0;
   int64_t pairs = 0;
@@ -120,6 +125,7 @@ struct FunnelDelta {
   void Flush(const FunnelCounters& funnel) const {
     if (funnel.candidates == nullptr) return;
     funnel.candidates->Increment(candidates);
+    funnel.position_rejects->Increment(position_rejects);
     funnel.signature_rejects->Increment(signature_rejects);
     funnel.verified->Increment(verified);
     funnel.pairs->Increment(pairs);
@@ -152,6 +158,126 @@ std::vector<std::vector<std::string>> TokenizeAll(
       },
       num_threads);
   return out;
+}
+
+// Both sides of a join as sorted dense-id token sets, one flat arena per
+// side, with ids in [0, num_ids) ranked by ascending (document frequency,
+// token) — the canonical prefix-filter order (rare tokens first).
+struct EncodedSides {
+  TokenArena left;
+  TokenArena right;
+  size_t num_ids = 0;
+};
+
+// Word tokens go through the string dictionary.
+EncodedSides EncodeWordSets(const std::vector<std::string>& left,
+                            const std::vector<std::string>& right,
+                            int num_threads) {
+  std::vector<std::vector<std::string>> left_tokens =
+      TokenizeAll(left, SimilarityFunction::kWordJaccard, num_threads);
+  std::vector<std::vector<std::string>> right_tokens =
+      TokenizeAll(right, SimilarityFunction::kWordJaccard, num_threads);
+  TokenDictionary dict(left_tokens, right_tokens);
+  auto encode_side = [&](const std::vector<std::vector<std::string>>& sets) {
+    std::vector<int32_t> sizes(sets.size());
+    for (size_t r = 0; r < sets.size(); ++r) {
+      sizes[r] = static_cast<int32_t>(sets[r].size());
+    }
+    TokenArena arena(sizes);
+    ParallelFor(
+        0, static_cast<int64_t>(sets.size()), /*grain=*/64,
+        [&](int64_t begin, int64_t end, int /*chunk*/) {
+          for (int64_t r = begin; r < end; ++r) {
+            size_t rec = static_cast<size_t>(r);
+            dict.EncodeInto(sets[rec], arena.MutableSpan(rec));
+          }
+        },
+        num_threads);
+    return arena;
+  };
+  return {encode_side(left_tokens), encode_side(right_tokens), dict.size()};
+}
+
+// 2-grams go through their integer keys (AppendQGramKeys), which sort as the
+// gram strings do, so ranking the keys by (document frequency, key) assigns
+// exactly the ids TokenDictionary assigns the strings, with no hash map.
+EncodedSides EncodeGramSets(const std::vector<std::string>& left,
+                            const std::vector<std::string>& right,
+                            int num_threads) {
+  // The keys present, as a bitset over the key space plus, per word, the
+  // number of present keys before it: a present key's rank in key order is
+  // then one popcount away, and no table spans the whole key space.
+  std::vector<uint64_t> present((kQGramKeySpace + 63) / 64, 0);
+  auto collect_keys = [&](const std::vector<std::string>& values) {
+    std::vector<int32_t> sizes(values.size());
+    std::vector<int32_t> keys;
+    for (size_t r = 0; r < values.size(); ++r) {
+      const size_t first = keys.size();
+      AppendQGramKeys(values[r], keys);
+      sizes[r] = static_cast<int32_t>(keys.size() - first);
+    }
+    for (int32_t key : keys) present[key >> 6] |= uint64_t{1} << (key & 63);
+    return TokenArena(sizes, std::move(keys));
+  };
+  TokenArena left_arena = collect_keys(left);
+  TokenArena right_arena = collect_keys(right);
+  std::vector<int32_t> present_before(present.size());
+  int32_t num_keys = 0;
+  for (size_t w = 0; w < present.size(); ++w) {
+    present_before[w] = num_keys;
+    num_keys += std::popcount(present[w]);
+  }
+  auto key_rank = [&](int32_t key) {
+    const size_t w = static_cast<size_t>(key >> 6);
+    const uint64_t below = (uint64_t{1} << (key & 63)) - 1;
+    return present_before[w] + std::popcount(present[w] & below);
+  };
+
+  // Keys become ranks in place. Record sets are distinct, so counting ranks
+  // counts document frequency.
+  std::vector<int32_t> doc_freq(static_cast<size_t>(num_keys), 0);
+  for (TokenArena* arena : {&left_arena, &right_arena}) {
+    for (size_t r = 0; r < arena->num_records(); ++r) {
+      TokenId* span = arena->MutableSpan(r);
+      for (size_t k = 0; k < arena->size(r); ++k) {
+        span[k] = key_rank(span[k]);
+        ++doc_freq[static_cast<size_t>(span[k])];
+      }
+    }
+  }
+  // Ranks follow key order, so (frequency, rank) sorts as (frequency, key).
+  std::vector<std::pair<int32_t, int32_t>> by_freq(doc_freq.size());
+  for (size_t rank = 0; rank < by_freq.size(); ++rank) {
+    by_freq[rank] = {doc_freq[rank], static_cast<int32_t>(rank)};
+  }
+  std::sort(by_freq.begin(), by_freq.end());
+  std::vector<TokenId> id_of_rank(by_freq.size());
+  for (size_t id = 0; id < by_freq.size(); ++id) {
+    id_of_rank[static_cast<size_t>(by_freq[id].second)] =
+        static_cast<TokenId>(id);
+  }
+
+  // Ranks become ids in place; spans are disjoint, so records run in
+  // parallel.
+  auto ranks_to_ids = [&](TokenArena& arena) {
+    ParallelFor(
+        0, static_cast<int64_t>(arena.num_records()), /*grain=*/64,
+        [&](int64_t begin, int64_t end, int /*chunk*/) {
+          for (int64_t r = begin; r < end; ++r) {
+            const size_t rec = static_cast<size_t>(r);
+            TokenId* span = arena.MutableSpan(rec);
+            const size_t n = arena.size(rec);
+            for (size_t k = 0; k < n; ++k) {
+              span[k] = id_of_rank[static_cast<size_t>(span[k])];
+            }
+            std::sort(span, span + n);
+          }
+        },
+        num_threads);
+  };
+  ranks_to_ids(left_arena);
+  ranks_to_ids(right_arena);
+  return {std::move(left_arena), std::move(right_arena), by_freq.size()};
 }
 
 // Jaccard prefix length: a record of size n must share a token within its
@@ -241,46 +367,51 @@ size_t IntersectIdsAbandon(const TokenId* a, size_t na, const TokenId* b,
 }
 
 // --- Token prefix join: flat kernel ----------------------------------------
+// PPJoin's positional filter (Xiao et al., WWW 2008) on top of the prefix
+// filter. The right prefixes are indexed with each token's position in its
+// record. While a left record probes, each candidate counts its prefix
+// overlap and remembers its last matched positions; a candidate is dropped
+// as soon as overlap + 1 + min(ids left in a, ids left in b) falls below the
+// exact required intersection. Survivors are verified, in the order they
+// were first seen, by merging only the suffixes after the last matches.
+
+// One candidate of the probing left record. overlap == 0 marks a candidate
+// the positional bound dropped after it was first seen.
+struct PositionalCandidate {
+  int32_t right = 0;
+  int32_t size = 0;      // |b|
+  int32_t required = 0;  // Exact required intersection for (|a|, |b|).
+  int32_t overlap = 0;   // Prefix matches counted so far.
+  int32_t last_a = 0;    // Position of the last match in a...
+  int32_t last_b = 0;    // ...and in b.
+};
 
 std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
                                          const std::vector<std::string>& right,
                                          SimilarityFunction fn,
                                          double threshold,
                                          const SimJoinOptions& options) {
-  std::vector<std::vector<std::string>> left_tokens =
-      TokenizeAll(left, fn, options.num_threads);
-  std::vector<std::vector<std::string>> right_tokens =
-      TokenizeAll(right, fn, options.num_threads);
-  TokenDictionary dict(left_tokens, right_tokens);
-
-  // SoA encode: all token ids in two flat arenas, one span per record,
-  // filled in parallel (spans are disjoint).
-  auto set_sizes = [](const std::vector<std::vector<std::string>>& sets) {
-    std::vector<int32_t> sizes(sets.size());
-    for (size_t r = 0; r < sets.size(); ++r) {
-      sizes[r] = static_cast<int32_t>(sets[r].size());
-    }
-    return sizes;
-  };
-  TokenArena left_arena(set_sizes(left_tokens));
-  TokenArena right_arena(set_sizes(right_tokens));
-  std::vector<TokenSignature> left_sig(left.size());
-  std::vector<TokenSignature> right_sig(right.size());
-  auto encode_side = [&](const std::vector<std::vector<std::string>>& tokens,
-                         TokenArena& arena, std::vector<TokenSignature>& sig) {
+  const EncodedSides sides =
+      fn == SimilarityFunction::kWordJaccard
+          ? EncodeWordSets(left, right, options.num_threads)
+          : EncodeGramSets(left, right, options.num_threads);
+  const TokenArena& left_arena = sides.left;
+  const TokenArena& right_arena = sides.right;
+  auto signatures = [&](const TokenArena& arena) {
+    std::vector<TokenSignature> sig(arena.num_records());
     ParallelFor(
-        0, static_cast<int64_t>(tokens.size()), /*grain=*/64,
+        0, static_cast<int64_t>(sig.size()), /*grain=*/64,
         [&](int64_t begin, int64_t end, int /*chunk*/) {
           for (int64_t r = begin; r < end; ++r) {
             size_t rec = static_cast<size_t>(r);
-            dict.EncodeInto(tokens[rec], arena.MutableSpan(rec));
             sig[rec] = SignatureOfIds(arena.begin(rec), arena.size(rec));
           }
         },
         options.num_threads);
+    return sig;
   };
-  encode_side(left_tokens, left_arena, left_sig);
-  encode_side(right_tokens, right_arena, right_sig);
+  const std::vector<TokenSignature> left_sig = signatures(left_arena);
+  const std::vector<TokenSignature> right_sig = signatures(right_arena);
 
   const bool cosine = fn == SimilarityFunction::kQGramCosine;
   auto prefix_len = [&](size_t n) {
@@ -291,16 +422,22 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
   // CSR inverted index over the prefixes of the right side. Count-then-fill
   // with ascending-j emission keeps every posting list in ascending-j order —
   // the order the legacy unordered_map index produced with push_back.
-  CsrIndex index = CsrIndex::Build(
-      dict.size(), [&](const auto& sink) {
+  PositionalCsrIndex index = PositionalCsrIndex::Build(
+      sides.num_ids, [&](const auto& sink) {
         for (size_t j = 0; j < right.size(); ++j) {
           size_t plen = prefix_len(right_arena.size(j));
           const TokenId* ids = right_arena.begin(j);
           for (size_t k = 0; k < plen; ++k) {
-            sink(ids[k], static_cast<int32_t>(j));
+            sink(ids[k], PositionalPosting{static_cast<int32_t>(j),
+                                           static_cast<int32_t>(k)});
           }
         }
       });
+
+  size_t max_right_size = 0;
+  for (size_t j = 0; j < right.size(); ++j) {
+    max_right_size = std::max(max_right_size, right_arena.size(j));
+  }
 
   const FunnelCounters funnel = MakeFunnel(options.metrics);
   const bool use_signature = options.signature_filter;
@@ -313,60 +450,103 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
       [&](int64_t begin, int64_t end, int chunk) {
         std::vector<SimPair>& out = chunk_out[static_cast<size_t>(chunk)];
         FunnelDelta delta;
-        // Thread-local dedup scratch: stamps are per-probe, so a fresh vector
-        // per chunk reproduces the serial semantics exactly.
+        // Thread-local scratch: stamps are per-probe, so fresh vectors per
+        // chunk reproduce the serial semantics exactly. slot[j] indexes
+        // j's entry in `candidates` (valid while seen_stamp[j] == i), or is
+        // kDropped once the positional bound has dropped j. The required
+        // intersection depends only on |b| within a probe, so it is solved
+        // once per size (valid while size_stamp[|b|] == i).
+        constexpr int32_t kDropped = -1;
         std::vector<int32_t> seen_stamp(right.size(), -1);
+        std::vector<int32_t> slot(right.size(), kDropped);
+        std::vector<PositionalCandidate> candidates;
+        std::vector<int32_t> size_stamp(max_right_size + 1, -1);
+        std::vector<int32_t> required_for_size(max_right_size + 1, 0);
         for (int64_t li = begin; li < end; ++li) {
-          size_t i = static_cast<size_t>(li);
+          const size_t i = static_cast<size_t>(li);
+          const int32_t stamp = static_cast<int32_t>(i);
           const size_t na = left_arena.size(i);
           const TokenId* a = left_arena.begin(i);
-          size_t plen = prefix_len(na);
-          for (size_t k = 0; k < plen; ++k) {
+          const int32_t plen = static_cast<int32_t>(prefix_len(na));
+          candidates.clear();
+          for (int32_t k = 0; k < plen; ++k) {
+            const int32_t a_rest = static_cast<int32_t>(na) - k - 1;
             auto [p, p_end] = index.Postings(a[k]);
             for (; p != p_end; ++p) {
-              const int32_t j = *p;
-              if (seen_stamp[static_cast<size_t>(j)] ==
-                  static_cast<int32_t>(i)) {
-                continue;
-              }
-              seen_stamp[static_cast<size_t>(j)] = static_cast<int32_t>(i);
-              ++delta.candidates;
-              const size_t nb = right_arena.size(static_cast<size_t>(j));
-              if (use_signature) {
-                const bool rejected =
-                    cosine ? SignatureRejectsCosine(
-                                 left_sig[i],
-                                 right_sig[static_cast<size_t>(j)], na, nb,
-                                 threshold)
-                           : SignatureRejectsJaccard(
-                                 left_sig[i],
-                                 right_sig[static_cast<size_t>(j)], na, nb,
-                                 threshold);
-                if (rejected) {
-                  ++delta.signature_rejects;
+              const size_t j = static_cast<size_t>(p->record);
+              if (seen_stamp[j] != stamp) {
+                seen_stamp[j] = stamp;
+                ++delta.candidates;
+                const size_t nb = right_arena.size(j);
+                if (size_stamp[nb] != stamp) {
+                  size_stamp[nb] = stamp;
+                  required_for_size[nb] = static_cast<int32_t>(
+                      cosine ? RequiredIntersectionCosine(na, nb, threshold)
+                             : RequiredIntersectionJaccard(na, nb, threshold));
+                }
+                const int32_t required = required_for_size[nb];
+                const int32_t b_rest =
+                    static_cast<int32_t>(nb) - p->position - 1;
+                if (1 + std::min(a_rest, b_rest) < required) {
+                  slot[j] = kDropped;
+                  ++delta.position_rejects;
                   continue;
                 }
+                slot[j] = static_cast<int32_t>(candidates.size());
+                candidates.push_back({p->record, static_cast<int32_t>(nb),
+                                      required, 1, k, p->position});
+                continue;
               }
-              ++delta.verified;
-              // Exact verify: linear merge over the sorted id spans, with an
-              // admissible early abandon below the required intersection.
-              const size_t required =
-                  cosine ? RequiredIntersectionCosine(na, nb, threshold)
-                         : RequiredIntersectionJaccard(na, nb, threshold);
-              if (required > std::min(na, nb)) continue;
-              const TokenId* b = right_arena.begin(static_cast<size_t>(j));
-              size_t inter = IntersectIdsAbandon(a, na, b, nb, required);
-              if (inter < required) continue;
-              double sim =
-                  cosine
-                      ? static_cast<double>(inter) /
-                            std::sqrt(static_cast<double>(na) *
-                                      static_cast<double>(nb))
-                      : static_cast<double>(inter) /
-                            static_cast<double>(na + nb - inter);
-              out.push_back({static_cast<int32_t>(i), j, sim});
-              ++delta.pairs;
+              if (slot[j] == kDropped) continue;
+              PositionalCandidate& c =
+                  candidates[static_cast<size_t>(slot[j])];
+              const int32_t b_rest = c.size - p->position - 1;
+              if (c.overlap + 1 + std::min(a_rest, b_rest) < c.required) {
+                c.overlap = 0;
+                slot[j] = kDropped;
+                ++delta.position_rejects;
+                continue;
+              }
+              ++c.overlap;
+              c.last_a = k;
+              c.last_b = p->position;
             }
+          }
+          for (const PositionalCandidate& c : candidates) {
+            if (c.overlap == 0) continue;
+            const size_t j = static_cast<size_t>(c.right);
+            const size_t nb = static_cast<size_t>(c.size);
+            if (use_signature &&
+                (cosine ? SignatureRejectsCosine(left_sig[i], right_sig[j], na,
+                                                 nb, threshold)
+                        : SignatureRejectsJaccard(left_sig[i], right_sig[j],
+                                                  na, nb, threshold))) {
+              ++delta.signature_rejects;
+              continue;
+            }
+            ++delta.verified;
+            // Ids are sorted and distinct in both spans, so every common id
+            // at or before (last_a, last_b) lies in both prefixes and is
+            // already in `overlap`; the rest lie after both positions.
+            const size_t a_from = static_cast<size_t>(c.last_a) + 1;
+            const size_t b_from = static_cast<size_t>(c.last_b) + 1;
+            const size_t counted = static_cast<size_t>(c.overlap);
+            const size_t required = static_cast<size_t>(c.required);
+            const size_t inter =
+                counted + IntersectIdsAbandon(
+                              a + a_from, na - a_from,
+                              right_arena.begin(j) + b_from, nb - b_from,
+                              required > counted ? required - counted : 0);
+            if (inter < required) continue;
+            double sim =
+                cosine
+                    ? static_cast<double>(inter) /
+                          std::sqrt(static_cast<double>(na) *
+                                    static_cast<double>(nb))
+                    : static_cast<double>(inter) /
+                          static_cast<double>(na + nb - inter);
+            out.push_back({static_cast<int32_t>(i), c.right, sim});
+            ++delta.pairs;
           }
         }
         delta.Flush(funnel);
@@ -504,57 +684,31 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   for (size_t i = 0; i < left.size(); ++i) left_lower[i] = ToLower(left[i]);
   for (size_t j = 0; j < right.size(); ++j) right_lower[j] = ToLower(right[j]);
 
-  // Gram sets on both sides, encoded once into flat arenas (the legacy
-  // kernel re-materialized the left gram set per probe).
-  std::vector<std::vector<std::string>> left_grams(left.size());
-  std::vector<std::vector<std::string>> right_grams(right.size());
-  auto tokenize_grams = [&](const std::vector<std::string>& lower,
-                            std::vector<std::vector<std::string>>& grams) {
+  // Gram sets on both sides as dense ids (the shared-gram filter only needs
+  // ids that are consistent across the two sides). Signatures come from the
+  // raw (untrimmed) lowercased bytes so the admissibility bound is stated
+  // against the exact strings the banded verifier sees; the gram sets
+  // (QGramSet's trimmed grams) feed only the legacy-compatible shared-gram
+  // filter.
+  const EncodedSides grams =
+      EncodeGramSets(left_lower, right_lower, options.num_threads);
+  const TokenArena& left_arena = grams.left;
+  const TokenArena& right_arena = grams.right;
+  auto signatures = [&](const std::vector<std::string>& lower) {
+    std::vector<TokenSignature> sig(lower.size());
     ParallelFor(
         0, static_cast<int64_t>(lower.size()), /*grain=*/64,
         [&](int64_t begin, int64_t end, int /*chunk*/) {
           for (int64_t r = begin; r < end; ++r) {
-            grams[static_cast<size_t>(r)] =
-                QGramSet(lower[static_cast<size_t>(r)], 2);
+            sig[static_cast<size_t>(r)] =
+                SignatureOfGrams(lower[static_cast<size_t>(r)]);
           }
         },
         options.num_threads);
+    return sig;
   };
-  tokenize_grams(left_lower, left_grams);
-  tokenize_grams(right_lower, right_grams);
-  TokenDictionary dict(left_grams, right_grams);
-
-  auto set_sizes = [](const std::vector<std::vector<std::string>>& sets) {
-    std::vector<int32_t> sizes(sets.size());
-    for (size_t r = 0; r < sets.size(); ++r) {
-      sizes[r] = static_cast<int32_t>(sets[r].size());
-    }
-    return sizes;
-  };
-  TokenArena left_arena(set_sizes(left_grams));
-  TokenArena right_arena(set_sizes(right_grams));
-  // Signatures come from the raw (untrimmed) lowercased bytes so the
-  // admissibility bound is stated against the exact strings the banded
-  // verifier sees; the gram arenas (QGramSet, trimmed) feed only the
-  // legacy-compatible shared-gram filter.
-  std::vector<TokenSignature> left_sig(left.size());
-  std::vector<TokenSignature> right_sig(right.size());
-  auto encode_side = [&](const std::vector<std::string>& lower,
-                         const std::vector<std::vector<std::string>>& grams,
-                         TokenArena& arena, std::vector<TokenSignature>& sig) {
-    ParallelFor(
-        0, static_cast<int64_t>(lower.size()), /*grain=*/64,
-        [&](int64_t begin, int64_t end, int /*chunk*/) {
-          for (int64_t r = begin; r < end; ++r) {
-            size_t rec = static_cast<size_t>(r);
-            dict.EncodeInto(grams[rec], arena.MutableSpan(rec));
-            sig[rec] = SignatureOfGrams(lower[rec]);
-          }
-        },
-        options.num_threads);
-  };
-  encode_side(left_lower, left_grams, left_arena, left_sig);
-  encode_side(right_lower, right_grams, right_arena, right_sig);
+  const std::vector<TokenSignature> left_sig = signatures(left_lower);
+  const std::vector<TokenSignature> right_sig = signatures(right_lower);
 
   size_t max_right_len = 0;
   for (const std::string& b : right_lower) {
@@ -564,7 +718,7 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   // CSR gram index and length-keyed candidate index over the right side,
   // both count-then-fill with ascending-j emission.
   CsrIndex gram_index = CsrIndex::Build(
-      dict.size(), [&](const auto& sink) {
+      grams.num_ids, [&](const auto& sink) {
         for (size_t j = 0; j < right.size(); ++j) {
           const TokenId* ids = right_arena.begin(j);
           const size_t n = right_arena.size(j);

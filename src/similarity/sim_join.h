@@ -10,11 +10,14 @@
 // Two kernels produce bit-identical output (ctest -L simjoin proves it):
 //
 //   kFlat    The default. Posting lists live in CSR arrays (csr_index.h),
-//            encoded token sets in a flat SoA arena, and a 64-bit
-//            XOR+popcount signature pre-filter (signature.h) rejects
-//            provably-below-threshold pairs before the exact verify, which
-//            itself is a linear merge over dense TokenIds instead of a
-//            re-comparison of string sets.
+//            encoded token sets in a flat SoA arena. The token joins probe
+//            PPJoin-style: prefix postings carry token positions, and a
+//            positional bound drops candidates whose overlap can no longer
+//            reach the threshold. A 64-bit XOR+popcount signature
+//            pre-filter (signature.h) rejects further provably-below-
+//            threshold pairs before the exact verify, which merges only the
+//            dense-id suffixes after the last prefix matches instead of
+//            re-comparing string sets.
 //   kLegacy  The original hash-map kernel, kept as the bit-identity oracle
 //            for tests and as the baseline the perf-trajectory artifact
 //            (BENCH_simjoin.json) measures speedups against.
@@ -63,9 +66,11 @@ struct SimJoinOptions {
   // Optional funnel sink (borrowed, may be null = disabled). The kernels
   // count simjoin.candidates (pairs surviving candidate generation — index
   // lookup + dedup for the token joins, length + shared-gram filters for
-  // edit distance), simjoin.signature_rejects (killed by the signature
-  // bound), simjoin.verified (reaching exact verification) and simjoin.pairs
-  // (emitted). candidates == signature_rejects + verified always.
+  // edit distance), simjoin.position_rejects (dropped by the flat token
+  // joins' positional bound), simjoin.signature_rejects (killed by the
+  // signature bound), simjoin.verified (reaching exact verification) and
+  // simjoin.pairs (emitted). candidates == position_rejects +
+  // signature_rejects + verified always.
   MetricsRegistry* metrics = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 
 #include "common/string_util.h"
 
@@ -37,6 +38,35 @@ std::vector<std::string> QGramSet(std::string_view s, int q) {
   }
   SortUnique(grams);
   return grams;
+}
+
+void AppendQGramKeys(std::string_view s, std::vector<int32_t>& out) {
+  // Same trim and case folding as QGramSet's ToLower(Trim(s)).
+  auto space = [&](size_t i) {
+    return std::isspace(static_cast<unsigned char>(s[i])) != 0;
+  };
+  auto byte = [&](size_t i) {
+    return static_cast<int32_t>(std::tolower(static_cast<unsigned char>(s[i])));
+  };
+  size_t begin = 0;
+  size_t end = s.size();
+  while (begin < end && space(begin)) ++begin;
+  while (end > begin && space(end - 1)) --end;
+  if (begin == end) return;
+  int32_t prev = byte(begin);
+  if (end - begin == 1) {
+    out.push_back(257 * prev);
+    return;
+  }
+  const size_t first = out.size();
+  for (size_t i = begin + 1; i < end; ++i) {
+    const int32_t next = byte(i);
+    out.push_back(257 * prev + 1 + next);
+    prev = next;
+  }
+  const auto keys = out.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(keys, out.end());
+  out.erase(std::unique(keys, out.end()), out.end());
 }
 
 std::vector<std::string> WordTokenSet(std::string_view s) {

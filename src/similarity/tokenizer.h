@@ -7,6 +7,7 @@
 #ifndef CDB_SIMILARITY_TOKENIZER_H_
 #define CDB_SIMILARITY_TOKENIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,17 @@ namespace cdb {
 // lowercased string. Strings shorter than q yield a single token equal to the
 // whole string, so very short values still compare meaningfully.
 std::vector<std::string> QGramSet(std::string_view s, int q);
+
+// Integer keys of the 2-gram tokens, over unsigned bytes: a 1-char token c
+// is 257 * c and a gram (c1, c2) is 257 * c1 + 1 + c2. Keys sort exactly as
+// the token strings do (std::string compares unsigned bytes, and a 1-char
+// token sorts before every gram that starts with it), and all lie in
+// [0, kQGramKeySpace).
+inline constexpr int32_t kQGramKeySpace = 257 * 256;
+
+// Appends the keys of QGramSet(s, 2) to `out`, sorted and distinct: the same
+// tokens in the same order, without materializing a string per gram.
+void AppendQGramKeys(std::string_view s, std::vector<int32_t>& out);
 
 // Returns the set (sorted, deduplicated) of lowercased whitespace-separated
 // word tokens, with punctuation stripped from token edges.

@@ -6,14 +6,19 @@
 //   * the signature pre-filter never changes the output (it may only skip
 //     work), and its bounds never reject a pair whose exact similarity
 //     reaches the threshold,
-//   * CSR / arena building blocks preserve emission order,
-//   * the funnel counters obey candidates == signature_rejects + verified.
+//   * CSR / arena building blocks preserve emission order, and integer
+//     2-gram keys sort exactly as the gram strings do,
+//   * the funnel counters obey
+//     candidates == position_rejects + signature_rejects + verified.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -57,6 +62,14 @@ struct IdentityCase {
   double threshold;
   int threads;
 };
+
+// GetParam()'s print in test names and failure messages. The default print
+// dumps the struct's bytes, uninitialized padding included, so the names
+// changed from build to build.
+void PrintTo(const IdentityCase& c, std::ostream* os) {
+  *os << SimilarityFunctionName(c.fn) << " t=" << c.threshold
+      << " threads=" << c.threads;
+}
 
 class SimJoinIdentityTest : public ::testing::TestWithParam<IdentityCase> {};
 
@@ -114,7 +127,59 @@ INSTANTIATE_TEST_SUITE_P(
         IdentityCase{SimilarityFunction::kEditDistance, 0.8, 1},
         IdentityCase{SimilarityFunction::kEditDistance, 0.8, 8},
         IdentityCase{SimilarityFunction::kEditDistance, 0.95, 1},
-        IdentityCase{SimilarityFunction::kEditDistance, 0.95, 8}));
+        IdentityCase{SimilarityFunction::kEditDistance, 0.95, 8},
+        // 0.3 is the paper's ε, where every graph build runs the join.
+        IdentityCase{SimilarityFunction::kWordJaccard, 0.3, 1},
+        IdentityCase{SimilarityFunction::kWordJaccard, 0.3, 8},
+        IdentityCase{SimilarityFunction::kQGramJaccard, 0.3, 1},
+        IdentityCase{SimilarityFunction::kQGramJaccard, 0.3, 8},
+        IdentityCase{SimilarityFunction::kQGramCosine, 0.3, 1},
+        IdentityCase{SimilarityFunction::kQGramCosine, 0.3, 8}));
+
+// Inputs where tokenization is easiest to get wrong: empty, whitespace-only
+// and 1-char strings, surrounding whitespace, mixed case, bytes >= 0x80 and
+// repeated grams. The flat kernels key 2-grams as integers and rank them by
+// (document frequency, key); any disagreement with the string order would
+// change the prefixes, which the candidate count exposes even where the
+// pairs happen to agree.
+TEST(SimJoinIdentityTest, CornerCaseCorpusMatchesLegacy) {
+  const std::vector<std::string> left = {
+      "", " ", "\t \n", "a", "A", " a ", "z", "ab", "AB", " Ab ", "ba",
+      "aab", "abab", "ababab", "aaaa", "\x80", "\xff", "\xff\xfe",
+      "a\xff", "\x7f\x80", "\xc3\xa9t\xc3\xa9", "\xc3\x89T\xc3\x89",
+      "x y", "x  y", "X Y!", "  hello world  ", "HELLO WORLD",
+      "hello, world", "mississippi", "MISSISSIPPI ", "ssi", "a\x80z"};
+  const std::vector<std::string> right = {
+      "a", " ", "", "Z", "ba ", "abab", "BABA", "\xff", "\xfe\xff",
+      "\xc3\xa9T\xc3\xa9", "x y", "y x", "hello  world", "Hello World!",
+      "mississippi", "sip", "aaab", "\x80", "a\x80z", "\t\ta", "ab"};
+  const SimilarityFunction fns[] = {
+      SimilarityFunction::kWordJaccard, SimilarityFunction::kQGramJaccard,
+      SimilarityFunction::kQGramCosine, SimilarityFunction::kEditDistance};
+  for (SimilarityFunction fn : fns) {
+    for (double t : {0.1, 0.3, 0.5, 0.8, 1.0}) {
+      for (int threads : {1, 8}) {
+        MetricsRegistry legacy_metrics;
+        SimJoinOptions legacy;
+        legacy.kernel = SimJoinKernel::kLegacy;
+        legacy.num_threads = 1;
+        legacy.metrics = &legacy_metrics;
+        MetricsRegistry flat_metrics;
+        SimJoinOptions flat;
+        flat.num_threads = threads;
+        flat.metrics = &flat_metrics;
+        const std::string context = std::string(SimilarityFunctionName(fn)) +
+                                    " t=" + std::to_string(t) +
+                                    " threads=" + std::to_string(threads);
+        ExpectBitIdentical(SimilarityJoin(left, right, fn, t, legacy),
+                           SimilarityJoin(left, right, fn, t, flat), context);
+        EXPECT_EQ(legacy_metrics.counter("simjoin.candidates").Value(),
+                  flat_metrics.counter("simjoin.candidates").Value())
+            << context;
+      }
+    }
+  }
+}
 
 // --- Signature admissibility ------------------------------------------------
 
@@ -274,6 +339,49 @@ TEST(TokenArenaTest, SpansAreDisjointAndSized) {
             (std::vector<int32_t>{1, 2, 3}));
 }
 
+// The documented key of one 2-gram token string (tokenizer.h).
+int32_t KeyOfToken(const std::string& token) {
+  const int32_t c1 = static_cast<unsigned char>(token[0]);
+  if (token.size() == 1) return 257 * c1;
+  return 257 * c1 + 1 + static_cast<unsigned char>(token[1]);
+}
+
+TEST(QGramKeyTest, KeysSortExactlyAsGramStrings) {
+  // Every possible token: all 1-byte strings and all 2-byte grams. Sorting
+  // the (token, key) pairs by token must leave the keys strictly increasing.
+  std::vector<std::pair<std::string, int32_t>> tokens;
+  for (int c1 = 0; c1 < 256; ++c1) {
+    tokens.emplace_back(std::string(1, static_cast<char>(c1)), 257 * c1);
+    for (int c2 = 0; c2 < 256; ++c2) {
+      tokens.emplace_back(
+          std::string{static_cast<char>(c1), static_cast<char>(c2)},
+          257 * c1 + 1 + c2);
+    }
+  }
+  std::sort(tokens.begin(), tokens.end());
+  for (size_t k = 1; k < tokens.size(); ++k) {
+    ASSERT_LT(tokens[k - 1].second, tokens[k].second) << "token " << k;
+  }
+  EXPECT_GE(tokens.front().second, 0);
+  EXPECT_LT(tokens.back().second, kQGramKeySpace);
+}
+
+TEST(QGramKeyTest, KeysMirrorQGramSet) {
+  const std::vector<std::string> values = {
+      "", " ", "\t\n", "a", " A ", "Ab", "aBaB", "aaaa", "\x80", "\xff\xfe",
+      "\xc3\x89T\xc3\xa9", "  Hello, World  ", "mississippi", "a\x80z\xff"};
+  for (const std::string& v : values) {
+    std::vector<int32_t> want;
+    for (const std::string& token : QGramSet(v, 2)) {
+      want.push_back(KeyOfToken(token));
+    }
+    std::vector<int32_t> got = {-7};  // Appends after what is there.
+    AppendQGramKeys(v, got);
+    want.insert(want.begin(), -7);
+    EXPECT_EQ(got, want) << "value \"" << v << "\"";
+  }
+}
+
 // --- Funnel accounting ------------------------------------------------------
 
 TEST(SimJoinFunnelTest, CandidatesSplitIntoRejectsPlusVerified) {
@@ -291,10 +399,12 @@ TEST(SimJoinFunnelTest, CandidatesSplitIntoRejectsPlusVerified) {
       std::vector<SimPair> pairs =
           SimilarityJoin(corpus.left, corpus.right, fn, 0.6, options);
       int64_t candidates = metrics.counter("simjoin.candidates").Value();
+      int64_t position_rejects =
+          metrics.counter("simjoin.position_rejects").Value();
       int64_t rejects = metrics.counter("simjoin.signature_rejects").Value();
       int64_t verified = metrics.counter("simjoin.verified").Value();
       int64_t emitted = metrics.counter("simjoin.pairs").Value();
-      EXPECT_EQ(candidates, rejects + verified)
+      EXPECT_EQ(candidates, position_rejects + rejects + verified)
           << SimilarityFunctionName(fn) << " threads=" << threads;
       EXPECT_EQ(emitted, static_cast<int64_t>(pairs.size()))
           << SimilarityFunctionName(fn) << " threads=" << threads;

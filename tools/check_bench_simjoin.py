@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Compares a freshly generated BENCH_simjoin.json against the checked-in one.
 
-The funnel counters (candidates / signature_rejects / verified / pairs) are
-deterministic in the corpus seed, so they must match the golden file exactly —
-any drift means a kernel changed its candidate generation or filtering
-behavior. Wall-clock numbers are machine-dependent, so only the flat-vs-legacy
-*ratio* is compared: the fresh speedup may not regress more than --tolerance
-below the golden speedup, and the headline 10^5 token-join workload must keep
-a floor speedup regardless of the golden value.
+The funnel counters (candidates / position_rejects / signature_rejects /
+verified / pairs) are deterministic in the corpus seed, so they must match the
+golden file exactly — any drift means a kernel changed its candidate
+generation or filtering behavior. Wall-clock numbers are machine-dependent,
+so only the flat-vs-legacy *ratio* is compared: the fresh speedup may not
+regress more than --tolerance below the golden speedup, and the headline 10^5
+token-join workload must keep a floor speedup regardless of the golden value.
 
 Usage:
   tools/check_bench_simjoin.py --golden BENCH_simjoin.json --fresh fresh.json
@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 
-COUNTERS = ("candidates", "signature_rejects", "verified", "pairs")
+COUNTERS = ("candidates", "position_rejects", "signature_rejects",
+            "verified", "pairs")
 HEADLINE = "word_jaccard_1e5"
 
 
@@ -67,10 +68,12 @@ def main():
                           f"{f['flat']['pairs']})")
         for kernel in ("legacy", "flat"):
             fk = f[kernel]
-            if fk["candidates"] != fk["signature_rejects"] + fk["verified"]:
+            if fk["candidates"] != (fk["position_rejects"] +
+                                    fk["signature_rejects"] + fk["verified"]):
                 errors.append(f"{name}/{kernel}: funnel does not balance: "
-                              f"candidates {fk['candidates']} != rejects "
-                              f"{fk['signature_rejects']} + verified "
+                              f"candidates {fk['candidates']} != position "
+                              f"rejects {fk['position_rejects']} + signature "
+                              f"rejects {fk['signature_rejects']} + verified "
                               f"{fk['verified']}")
         # Perf ratio: tolerate noise, fail real regressions. Near-parity
         # workloads (the shared exact verifier dominates, e.g. edit distance)
