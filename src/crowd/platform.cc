@@ -693,6 +693,14 @@ Result<std::vector<Answer>> MultiMarket::ExecuteRound(
   std::vector<Answer> merged;
   for (size_t m = 0; m < platforms_.size(); ++m) {
     const int offset = worker_id_offset(m);
+    // The policy sees each worker under the id its answers carry, so a
+    // quality estimate keyed by that id is read for the right worker.
+    AssignmentPolicy offset_policy = [&](const SimulatedWorker& worker,
+                                         const std::vector<TaskId>& available,
+                                         int count) {
+      return (*policy)(SimulatedWorker(worker.id() + offset, worker.accuracy()),
+                       available, count);
+    };
     AnswerObserver offset_observer = [&](const Answer& a) {
       if (observer != nullptr) {
         Answer shifted = a;
@@ -703,7 +711,7 @@ Result<std::vector<Answer>> MultiMarket::ExecuteRound(
     CDB_ASSIGN_OR_RETURN(
         std::vector<Answer> part,
         platforms_[m].ExecuteRound(
-            partitions[m], policy,
+            partitions[m], policy != nullptr ? &offset_policy : nullptr,
             observer != nullptr ? &offset_observer : nullptr));
     for (Answer& a : part) {
       a.worker += offset;

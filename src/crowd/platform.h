@@ -262,7 +262,8 @@ class CrowdPlatform {
 
 // Cross-market deployment (Section 2.2 "task deployment"): a set of
 // simulated markets; tasks are partitioned across them round-robin and the
-// answers merged. Worker ids are offset per market so they stay unique.
+// answers merged. Worker ids are offset per market so they stay unique; the
+// assignment policy and the answer observer see the offset ids as well.
 class MultiMarket {
  public:
   explicit MultiMarket(std::vector<PlatformOptions> markets, TruthProvider truth);

@@ -140,15 +140,11 @@ QuerySession::QuerySession(const ResolvedQuery* query,
         &reg.counter("session.deduction_invalidations");
     metrics_.round_size = &reg.histogram("session.round_size");
   }
-  policy_ = assigner_.AsPolicy();
-  observer_ = [this](const Answer& answer) {
-    auto it = posteriors_.find(answer.task);
-    if (it == posteriors_.end()) return;
-    double q = 0.7;
-    auto wq = worker_quality_.find(answer.worker);
-    if (wq != worker_quality_.end()) q = wq->second;
-    it->second = PosteriorAfterAnswer(it->second, q, answer.choice);
+  policy_ = [this](const SimulatedWorker& worker,
+                   const std::vector<TaskId>& available, int count) {
+    return assigner_(worker, available, count);
   };
+  observer_ = [this](const Answer& answer) { assigner_.Observe(answer); };
   if (publisher != nullptr) {
     publisher_ = publisher;
     external_publish_ = true;
@@ -367,6 +363,7 @@ Result<bool> QuerySession::StepBatchRound() {
       double w = graph_.edge(static_cast<EdgeId>(task.payload)).weight;
       posteriors_[task.id] = {w, 1.0 - w};  // Similarity as the prior.
     }
+    assigner_.BeginRound(round_tasks_);
   }
   phase_ = SessionPhase::kPublish;
   return true;
@@ -402,7 +399,7 @@ void QuerySession::DeliverAnswers(const std::vector<Answer>& answers) {
   if (options_.quality_control) {
     // The shared platform assigns round-robin (the id spaces differ), so the
     // posterior updates happen on delivery instead of per-arrival.
-    for (const Answer& answer : answers) observer_(answer);
+    for (const Answer& answer : answers) assigner_.Observe(answer);
   }
   Absorb(answers);
   phase_ = SessionPhase::kCollect;

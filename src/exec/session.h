@@ -476,11 +476,15 @@ class QuerySession {
   std::vector<ChoiceObservation> all_observations_;
   std::map<int, double> worker_quality_;
   std::map<TaskId, std::vector<double>> posteriors_;
-  // cdb-snapshot: transient(pure view over posteriors_/worker_quality_)
+  // The Eq.-3 assigner; every posterior write of a round goes through its
+  // Observe(). cdb-snapshot: transient(per-round score memo over
+  // posteriors_/worker_quality_; Restore() re-opens the round and the rows
+  // refill on first use)
   EntropyAssigner assigner_;
-  // cdb-snapshot: transient(stateless callback rebuilt in the constructor)
+  // cdb-snapshot: transient(forwards to assigner_; bound in the constructor)
   AssignmentPolicy policy_;
-  // cdb-snapshot: transient(stateless callback rebuilt in the constructor)
+  // cdb-snapshot: transient(forwards to assigner_.Observe(); bound in the
+  // constructor)
   AnswerObserver observer_;
 
   std::set<std::pair<TaskId, int>> seen_observations_;

@@ -463,6 +463,9 @@ Status QuerySession::Restore(std::string_view blob) {
   for (const ChoiceObservation& o : all_observations_) {
     seen_observations_.insert({o.task, o.worker});
   }
+  // The assigner's score memo is transient: re-open the restored round over
+  // the restored posteriors.
+  if (options_.quality_control) assigner_.BeginRound(round_tasks_);
   // publisher_ already points at owned_publisher_ (standalone) or the
   // scheduler's channel (external); only the phase advances.
   phase_ = static_cast<SessionPhase>(phase_byte);

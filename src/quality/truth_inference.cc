@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -23,148 +25,220 @@ double InferenceResult::Confidence(TaskId task) const {
   return *std::max_element(it->second.begin(), it->second.end());
 }
 
+namespace {
+
+// Eq. 2 over one task's answers, in log space for numeric stability on many
+// answers: answer k is (row, choice), and rows index the log(q) and
+// log(wrong) tables. Writes the normalized distribution to
+// out[0, num_choices).
+void BayesianVoteKernel(const std::pair<int, int>* answers, size_t count,
+                        const double* log_q, const double* log_wrong,
+                        int num_choices, double* out) {
+  std::fill(out, out + num_choices, 0.0);
+  for (size_t k = 0; k < count; ++k) {
+    const auto [row, choice] = answers[k];
+    for (int i = 0; i < num_choices; ++i) {
+      out[i] += i == choice ? log_q[row] : log_wrong[row];
+    }
+  }
+  double max_log = *std::max_element(out, out + num_choices);
+  double norm = 0.0;
+  for (int i = 0; i < num_choices; ++i) {
+    out[i] = std::exp(out[i] - max_log);
+    norm += out[i];
+  }
+  for (int i = 0; i < num_choices; ++i) out[i] /= norm;
+}
+
+// Eq. 2's per-answer log-likelihoods for a worker of quality `quality`.
+void FillLogTables(double quality, int num_choices, double* log_q,
+                   double* log_wrong) {
+  double q = std::clamp(quality, 1e-3, 1.0 - 1e-3);
+  *log_q = std::log(q);
+  *log_wrong = std::log((1.0 - q) / static_cast<double>(num_choices - 1));
+}
+
+// Observations grouped once per inference call: the distinct task and worker
+// ids in ascending order, and each task's (worker row, choice) and each
+// worker's (task row, choice) answers as CSR rows, in observation order.
+struct DenseAnswers {
+  std::vector<TaskId> task_ids;
+  std::vector<int> worker_ids;
+  std::vector<size_t> task_begin;    // Task t: [task_begin[t], [t + 1]).
+  std::vector<std::pair<int, int>> task_answers;
+  std::vector<size_t> worker_begin;  // Worker w: [worker_begin[w], [w + 1]).
+  std::vector<std::pair<int, int>> worker_answers;
+};
+
+// Returns the distinct ids of `obs` (read through `id_of`) in ascending
+// order and sets rows[k] to the position of observation k's id among them.
+// A hash pass numbers the ids in first-seen order, so only the distinct ids
+// are sorted.
+template <typename Id, typename IdOf>
+std::vector<Id> AssignRows(const std::vector<ChoiceObservation>& obs,
+                           IdOf id_of, std::vector<int>* rows) {
+  std::unordered_map<Id, int> first_seen;
+  std::vector<Id> seen;
+  rows->resize(obs.size());
+  for (size_t k = 0; k < obs.size(); ++k) {
+    const Id id = id_of(obs[k]);
+    auto [it, inserted] =
+        first_seen.try_emplace(id, static_cast<int>(seen.size()));
+    if (inserted) seen.push_back(id);
+    (*rows)[k] = it->second;
+  }
+  std::vector<int> order(seen.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&seen](int a, int b) {
+    return seen[static_cast<size_t>(a)] < seen[static_cast<size_t>(b)];
+  });
+  std::vector<Id> sorted(seen.size());
+  std::vector<int> rank(seen.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    sorted[r] = seen[static_cast<size_t>(order[r])];
+    rank[static_cast<size_t>(order[r])] = static_cast<int>(r);
+  }
+  for (int& row : *rows) row = rank[static_cast<size_t>(row)];
+  return sorted;
+}
+
+DenseAnswers GroupDense(const std::vector<ChoiceObservation>& obs) {
+  DenseAnswers d;
+  std::vector<int> task_row;
+  std::vector<int> worker_row;
+  d.task_ids = AssignRows<TaskId>(
+      obs, [](const ChoiceObservation& o) { return o.task; }, &task_row);
+  d.worker_ids = AssignRows<int>(
+      obs, [](const ChoiceObservation& o) { return o.worker; }, &worker_row);
+
+  // Count per row, then place each observation at its row's cursor (a
+  // stable counting sort).
+  d.task_begin.assign(d.task_ids.size() + 1, 0);
+  d.worker_begin.assign(d.worker_ids.size() + 1, 0);
+  for (size_t k = 0; k < obs.size(); ++k) {
+    ++d.task_begin[static_cast<size_t>(task_row[k]) + 1];
+    ++d.worker_begin[static_cast<size_t>(worker_row[k]) + 1];
+  }
+  for (size_t t = 0; t < d.task_ids.size(); ++t) {
+    d.task_begin[t + 1] += d.task_begin[t];
+  }
+  for (size_t w = 0; w < d.worker_ids.size(); ++w) {
+    d.worker_begin[w + 1] += d.worker_begin[w];
+  }
+  d.task_answers.resize(obs.size());
+  d.worker_answers.resize(obs.size());
+  std::vector<size_t> task_cursor(d.task_begin.begin(), d.task_begin.end() - 1);
+  std::vector<size_t> worker_cursor(d.worker_begin.begin(),
+                                    d.worker_begin.end() - 1);
+  for (size_t k = 0; k < obs.size(); ++k) {
+    const int t = task_row[k];
+    const int w = worker_row[k];
+    const int choice = obs[k].choice;
+    d.task_answers[task_cursor[static_cast<size_t>(t)]++] = {w, choice};
+    d.worker_answers[worker_cursor[static_cast<size_t>(w)]++] = {t, choice};
+  }
+  return d;
+}
+
+}  // namespace
+
 std::vector<double> BayesianVote(
     const std::vector<std::pair<double, int>>& quality_and_choice,
     int num_choices) {
   CDB_CHECK(num_choices >= 2);
-  // Work in log space for numeric stability on many answers.
-  std::vector<double> log_p(num_choices, 0.0);
-  for (const auto& [quality, choice] : quality_and_choice) {
-    double q = std::clamp(quality, 1e-3, 1.0 - 1e-3);
-    double wrong = (1.0 - q) / static_cast<double>(num_choices - 1);
-    for (int i = 0; i < num_choices; ++i) {
-      log_p[i] += std::log(i == choice ? q : wrong);
-    }
+  const size_t n = quality_and_choice.size();
+  std::vector<double> log_q(n);
+  std::vector<double> log_wrong(n);
+  std::vector<std::pair<int, int>> answers(n);
+  for (size_t k = 0; k < n; ++k) {
+    FillLogTables(quality_and_choice[k].first, num_choices, &log_q[k],
+                  &log_wrong[k]);
+    answers[k] = {static_cast<int>(k), quality_and_choice[k].second};
   }
-  double max_log = *std::max_element(log_p.begin(), log_p.end());
-  double norm = 0.0;
-  std::vector<double> p(num_choices);
-  for (int i = 0; i < num_choices; ++i) {
-    p[i] = std::exp(log_p[i] - max_log);
-    norm += p[i];
-  }
-  for (double& v : p) v /= norm;
+  std::vector<double> p(static_cast<size_t>(num_choices));
+  BayesianVoteKernel(answers.data(), n, log_q.data(), log_wrong.data(),
+                     num_choices, p.data());
   return p;
 }
-
-namespace {
-
-// Groups observations per task and per worker.
-struct Grouped {
-  std::map<TaskId, std::vector<const ChoiceObservation*>> by_task;
-  std::map<int, std::vector<const ChoiceObservation*>> by_worker;
-};
-
-Grouped Group(const std::vector<ChoiceObservation>& obs) {
-  Grouped g;
-  for (const ChoiceObservation& o : obs) {
-    g.by_task[o.task].push_back(&o);
-    g.by_worker[o.worker].push_back(&o);
-  }
-  return g;
-}
-
-}  // namespace
 
 InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
                                     const EmOptions& options) {
   InferenceResult result;
   if (obs.empty()) return result;
-  Grouped grouped = Group(obs);
-
-  // Flatten the task map into an indexable form so the E-step can write
-  // per-task posteriors into disjoint slots from the pool, and give every
-  // observation its dense task row + worker row up front.
-  std::vector<TaskId> task_ids;
-  std::vector<const std::vector<const ChoiceObservation*>*> task_answers;
-  std::map<TaskId, int> task_row;
-  for (const auto& [task, answers] : grouped.by_task) {
-    task_row[task] = static_cast<int>(task_ids.size());
-    task_ids.push_back(task);
-    task_answers.push_back(&answers);
-  }
-  std::vector<int> worker_ids;
-  // Per worker: that worker's answers as (task row, choice), in observation
-  // order — the same order the serial M-step summed in.
-  std::vector<std::vector<std::pair<int, int>>> worker_answers;
-  for (const auto& [worker, answers] : grouped.by_worker) {
-    worker_ids.push_back(worker);
-    std::vector<std::pair<int, int>> rows;
-    rows.reserve(answers.size());
-    for (const ChoiceObservation* o : answers) {
-      rows.emplace_back(task_row.at(o->task), o->choice);
-    }
-    worker_answers.push_back(std::move(rows));
-  }
+  CDB_CHECK(options.num_choices >= 2);
+  const DenseAnswers d = GroupDense(obs);
+  const size_t num_tasks = d.task_ids.size();
+  const size_t num_workers = d.worker_ids.size();
+  const size_t n = static_cast<size_t>(options.num_choices);
 
   // Initialize qualities from the priors (or the default), indexed like
   // worker_ids.
-  std::vector<double> quality(worker_ids.size());
-  std::vector<double> prior(worker_ids.size());
-  std::map<int, int> worker_row;
-  for (size_t w = 0; w < worker_ids.size(); ++w) {
-    worker_row[worker_ids[w]] = static_cast<int>(w);
-    auto it = options.quality_priors.find(worker_ids[w]);
+  std::vector<double> quality(num_workers);
+  std::vector<double> prior(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    auto it = options.quality_priors.find(d.worker_ids[w]);
     double q = it != options.quality_priors.end() ? it->second
                                                   : options.initial_quality;
     quality[w] = q;
     prior[w] = q;
   }
 
-  std::vector<std::vector<double>> posteriors(task_ids.size());
-  std::vector<double> updated_quality(worker_ids.size());
+  // Task t's posterior over choices is posteriors[t * n, (t + 1) * n).
+  std::vector<double> posteriors(num_tasks * n);
+  std::vector<double> log_q(num_workers);
+  std::vector<double> log_wrong(num_workers);
+  std::vector<double> updated_quality(num_workers);
   int iterations_run = 0;
   double last_max_delta = 0.0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (size_t w = 0; w < num_workers; ++w) {
+      FillLogTables(quality[w], options.num_choices, &log_q[w], &log_wrong[w]);
+    }
     // E-step: task posteriors from current qualities (Eq. 2). Tasks are
     // independent given the qualities, so they fan out across the pool.
     ParallelFor(
-        0, static_cast<int64_t>(task_ids.size()), /*grain=*/64,
+        0, static_cast<int64_t>(num_tasks), /*grain=*/64,
         [&](int64_t begin, int64_t end, int /*chunk*/) {
-          std::vector<std::pair<double, int>> qc;
-          for (int64_t t = begin; t < end; ++t) {
-            const auto& answers = *task_answers[static_cast<size_t>(t)];
-            qc.clear();
-            qc.reserve(answers.size());
-            for (const ChoiceObservation* o : answers) {
-              qc.emplace_back(
-                  quality[static_cast<size_t>(worker_row.at(o->worker))],
-                  o->choice);
-            }
-            posteriors[static_cast<size_t>(t)] =
-                BayesianVote(qc, options.num_choices);
+          for (size_t t = static_cast<size_t>(begin);
+               t < static_cast<size_t>(end); ++t) {
+            BayesianVoteKernel(d.task_answers.data() + d.task_begin[t],
+                               d.task_begin[t + 1] - d.task_begin[t],
+                               log_q.data(), log_wrong.data(),
+                               options.num_choices, posteriors.data() + t * n);
           }
         },
         options.num_threads);
     // M-step: worker quality = expected fraction of correct answers. The
     // per-worker sums run in parallel (each walks only its own answers, in
-    // the serial order); the max_delta reduction stays serial so the
+    // observation order); the max_delta reduction stays serial so the
     // convergence test is exactly the single-thread one.
     ParallelFor(
-        0, static_cast<int64_t>(worker_ids.size()), /*grain=*/64,
+        0, static_cast<int64_t>(num_workers), /*grain=*/64,
         [&](int64_t begin, int64_t end, int /*chunk*/) {
-          for (int64_t w = begin; w < end; ++w) {
-            const auto& answers = worker_answers[static_cast<size_t>(w)];
+          for (size_t w = static_cast<size_t>(begin);
+               w < static_cast<size_t>(end); ++w) {
             double expected_correct = 0.0;
-            for (const auto& [row, choice] : answers) {
-              expected_correct +=
-                  posteriors[static_cast<size_t>(row)][static_cast<size_t>(choice)];
+            for (size_t k = d.worker_begin[w]; k < d.worker_begin[w + 1]; ++k) {
+              const auto [row, choice] = d.worker_answers[k];
+              expected_correct += posteriors[static_cast<size_t>(row) * n +
+                                             static_cast<size_t>(choice)];
             }
             // MAP estimate with a Beta pseudo-count prior centered on the
             // worker's incoming quality.
-            double updated = (options.prior_strength * prior[static_cast<size_t>(w)] +
-                              expected_correct) /
-                             (options.prior_strength +
-                              static_cast<double>(answers.size()));
+            double updated =
+                (options.prior_strength * prior[w] + expected_correct) /
+                (options.prior_strength +
+                 static_cast<double>(d.worker_begin[w + 1] -
+                                     d.worker_begin[w]));
             // Keep qualities interior so Eq. 2 stays well defined.
-            updated_quality[static_cast<size_t>(w)] =
-                std::clamp(updated, 0.05, 0.99);
+            updated_quality[w] = std::clamp(updated, 0.05, 0.99);
           }
         },
         options.num_threads);
     double max_delta = 0.0;
-    for (size_t w = 0; w < worker_ids.size(); ++w) {
-      max_delta = std::max(max_delta, std::abs(updated_quality[w] - quality[w]));
+    for (size_t w = 0; w < num_workers; ++w) {
+      max_delta =
+          std::max(max_delta, std::abs(updated_quality[w] - quality[w]));
       quality[w] = updated_quality[w];
     }
     ++iterations_run;
@@ -182,11 +256,17 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
     reg.histogram("quality.em.iterations_per_run").Observe(iterations_run);
   }
 
-  for (size_t t = 0; t < task_ids.size(); ++t) {
-    result.posteriors[task_ids[t]] = std::move(posteriors[t]);
+  // With no iteration run there is no E-step, so no posterior either.
+  for (size_t t = 0; t < num_tasks; ++t) {
+    const double* first = posteriors.data() + t * n;
+    result.posteriors.emplace_hint(
+        result.posteriors.end(), d.task_ids[t],
+        iterations_run > 0 ? std::vector<double>(first, first + n)
+                           : std::vector<double>());
   }
-  for (size_t w = 0; w < worker_ids.size(); ++w) {
-    result.worker_quality[worker_ids[w]] = quality[w];
+  for (size_t w = 0; w < num_workers; ++w) {
+    result.worker_quality.emplace_hint(result.worker_quality.end(),
+                                       d.worker_ids[w], quality[w]);
   }
   return result;
 }
@@ -194,22 +274,27 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
 InferenceResult InferSingleChoiceMajority(
     const std::vector<ChoiceObservation>& obs, int num_choices) {
   InferenceResult result;
-  Grouped grouped = Group(obs);
-  for (const auto& [task, answers] : grouped.by_task) {
-    std::vector<double> votes(num_choices, 0.0);
-    for (const ChoiceObservation* o : answers) {
-      if (o->choice >= 0 && o->choice < num_choices) votes[o->choice] += 1.0;
+  const DenseAnswers d = GroupDense(obs);
+  for (size_t t = 0; t < d.task_ids.size(); ++t) {
+    std::vector<double> votes(static_cast<size_t>(num_choices), 0.0);
+    for (size_t k = d.task_begin[t]; k < d.task_begin[t + 1]; ++k) {
+      const int choice = d.task_answers[k].second;
+      if (choice >= 0 && choice < num_choices) {
+        votes[static_cast<size_t>(choice)] += 1.0;
+      }
     }
     double total = 0.0;
     for (double v : votes) total += v;
     if (total > 0) {
       for (double& v : votes) v /= total;
     }
-    result.posteriors[task] = std::move(votes);
+    result.posteriors.emplace_hint(result.posteriors.end(), d.task_ids[t],
+                                   std::move(votes));
   }
-  for (const auto& [worker, answers] : grouped.by_worker) {
-    result.worker_quality[worker] = 0.5;  // Not modeled by majority voting.
-    (void)answers;
+  for (int worker : d.worker_ids) {
+    // Not modeled by majority voting.
+    result.worker_quality.emplace_hint(result.worker_quality.end(), worker,
+                                       0.5);
   }
   return result;
 }

@@ -2,10 +2,14 @@
 // cross-market deployment (Section 2.2) wired into the executor.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "bench_util/metrics.h"
 #include "cql/parser.h"
+#include "crowd/platform.h"
 #include "datagen/mini_example.h"
 #include "exec/executor.h"
+#include "quality/task_assignment.h"
 #include "quality/truth_inference.h"
 
 namespace cdb {
@@ -101,6 +105,69 @@ TEST_F(ExecutorExtensionTest, CrossMarketMatchesSingleMarketAnswers) {
   multi.markets = {single.platform, b};
   ExecutionResult cross = CdbExecutor(&query_, multi, truth_).Run().value();
   EXPECT_EQ(base.answers, cross.answers);
+}
+
+TEST(CrossMarketQualityControlTest, PolicySeesTheWorkerIdsAnswersCarry) {
+  // CDB+ across two requester-controlled markets: the Eq.-3 assigner reads
+  // worker qualities keyed by the ids answers carry (EM and golden
+  // estimates), so every worker the policy is handed must appear under the
+  // same id in that market's answers — not under its market-local id.
+  PlatformOptions amt;
+  amt.num_workers = 20;
+  amt.redundancy = 3;
+  amt.seed = 3;
+  PlatformOptions flower = amt;
+  flower.market_name = "SimCrowdFlower";
+  flower.seed = 4;
+  MultiMarket markets({amt, flower}, [](const Task&) {
+    TaskTruth truth;
+    truth.correct_choice = 0;
+    return truth;
+  });
+
+  // Tasks are dealt round-robin, so task i runs on market i % 2.
+  std::vector<Task> tasks;
+  std::map<TaskId, std::vector<double>> posteriors;
+  for (TaskId id = 0; id < 30; ++id) {
+    Task task;
+    task.id = id;
+    task.payload = id;
+    task.choices = {"yes", "no"};
+    tasks.push_back(task);
+    posteriors[id] = {0.6, 0.4};
+  }
+  std::map<int, double> quality;
+  EntropyAssigner assigner(&posteriors, &quality, 2);
+  std::map<TaskId, std::set<int>> seen;  // Market -> ids the policy saw.
+  AssignmentPolicy policy = [&](const SimulatedWorker& worker,
+                                const std::vector<TaskId>& available,
+                                int count) {
+    seen[available.front() % 2].insert(worker.id());
+    return assigner(worker, available, count);
+  };
+  AnswerObserver observer = [&](const Answer& answer) {
+    assigner.Observe(answer);
+  };
+  for (int round = 0; round < 2; ++round) {
+    assigner.BeginRound(tasks);
+    std::vector<Answer> answers =
+        markets.ExecuteRound(tasks, &policy, &observer).value();
+    std::map<TaskId, std::set<int>> carried;
+    for (const Answer& answer : answers) {
+      carried[answer.task % 2].insert(answer.worker);
+      // The next round scores with per-id estimates, as EM would leave them.
+      quality[answer.worker] = 0.6 + 0.01 * (answer.worker % 30);
+    }
+    ASSERT_EQ(seen.size(), 2u);
+    for (const auto& [market, ids] : seen) {
+      for (int id : ids) {
+        EXPECT_EQ(carried[market].count(id), 1u)
+            << "market " << market << " policy saw worker " << id
+            << " in round " << round;
+      }
+    }
+    seen.clear();
+  }
 }
 
 }  // namespace
