@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "quality/task_assignment.h"
 #include "quality/truth_inference.h"
+#include "tests/test_util.h"
 
 namespace cdb {
 namespace {
@@ -229,25 +230,7 @@ TEST(CompletenessScoreTest, Bounds) {
 // rewrite: any change to a product, a normalizer or a summation order moves
 // a bit and fails here.
 
-// FNV-1a 64 over 64-bit words.
-class BitDigest {
- public:
-  void Add(uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (word >> (8 * b)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
-  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
-  void Add(const std::string& s) {
-    for (char c : s) Add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using testing_util::BitDigest;
 
 // A self-contained generator (splitmix64), so the golden inputs do not
 // depend on the standard library's distribution algorithms.
