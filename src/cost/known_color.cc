@@ -3,112 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/logging.h"
-#include "flow/min_cut.h"
-
 namespace cdb {
-
-std::vector<EdgeId> StarSelection(const QueryGraph& graph,
-                                  const RelGraph& rel_graph, int center_rel,
-                                  const std::vector<EdgeColor>& colors) {
-  std::vector<EdgeId> out;
-  for (VertexId t : graph.relation_vertices(center_rel)) {
-    // Partition t's edges by incident group; a group is "satisfied" if some
-    // neighbor tuple realizes all its predicates in BLUE.
-    bool all_groups_satisfied = true;
-    std::vector<std::vector<EdgeId>> group_edges;
-    for (int g : rel_graph.adjacent_groups[center_rel]) {
-      const RelGraph::Group& group = rel_graph.groups[g];
-      std::vector<EdgeId> edges;
-      // Per neighbor w: all predicates must have a BLUE edge for the group to
-      // be satisfied through w.
-      bool satisfied = false;
-      // Collect neighbors via the first predicate, then check the rest.
-      const int p0 = group.preds[0];
-      for (EdgeId e0 : graph.IncidentEdges(t, p0)) {
-        VertexId w = graph.Opposite(e0, t);
-        bool w_all_blue = colors[e0] == EdgeColor::kBlue;
-        edges.push_back(e0);
-        for (size_t k = 1; k < group.preds.size(); ++k) {
-          EdgeId ek = kNoEdge;
-          for (EdgeId cand : graph.IncidentEdges(t, group.preds[k])) {
-            if (graph.Opposite(cand, t) == w) {
-              ek = cand;
-              break;
-            }
-          }
-          if (ek == kNoEdge) {
-            w_all_blue = false;
-          } else {
-            edges.push_back(ek);
-            w_all_blue = w_all_blue && colors[ek] == EdgeColor::kBlue;
-          }
-        }
-        satisfied = satisfied || w_all_blue;
-      }
-      // Parallel predicates may also have edges not reachable via p0; include
-      // them so "ask all edges of t" is complete.
-      for (size_t k = 1; k < group.preds.size(); ++k) {
-        for (EdgeId e : graph.IncidentEdges(t, group.preds[k])) {
-          if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
-            edges.push_back(e);
-          }
-        }
-      }
-      all_groups_satisfied = all_groups_satisfied && satisfied;
-      group_edges.push_back(std::move(edges));
-    }
-    if (group_edges.empty()) continue;
-
-    if (all_groups_satisfied) {
-      // Every leaf relation is matched: every edge of t participates in (or
-      // refutes a candidate sharing tuples with) an answer; ask them all.
-      for (const auto& edges : group_edges) {
-        out.insert(out.end(), edges.begin(), edges.end());
-      }
-    } else {
-      // Some group is all-RED: asking the cheapest such group refutes every
-      // candidate through t and prunes the rest.
-      size_t best = std::numeric_limits<size_t>::max();
-      const std::vector<EdgeId>* best_edges = nullptr;
-      for (size_t gi = 0; gi < group_edges.size(); ++gi) {
-        const std::vector<EdgeId>& edges = group_edges[gi];
-        bool any_blue_pair = false;
-        // Re-derive satisfaction cheaply: a group with any BLUE edge may
-        // still be unsatisfied when predicates are parallel, but for the
-        // common single-predicate group BLUE edge == satisfied.
-        for (EdgeId e : edges) {
-          if (colors[e] == EdgeColor::kBlue) {
-            any_blue_pair = true;
-            break;
-          }
-        }
-        if (any_blue_pair) continue;
-        if (edges.size() < best) {
-          best = edges.size();
-          best_edges = &edges;
-        }
-      }
-      if (best_edges == nullptr) {
-        // Only parallel-predicate groups are unsatisfied while every group
-        // has a blue edge; fall back to asking everything for this tuple.
-        for (const auto& edges : group_edges) {
-          out.insert(out.end(), edges.begin(), edges.end());
-        }
-      } else {
-        out.insert(out.end(), best_edges->begin(), best_edges->end());
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<EdgeId> StarSelection(const QueryGraph& graph, int center_rel,
-                                  const std::vector<EdgeColor>& colors) {
-  return StarSelection(graph, BuildRelGraph(graph), center_rel, colors);
-}
 
 StarCache BuildStarCache(const QueryGraph& graph, const RelGraph& rel_graph,
                          int center_rel) {
@@ -122,10 +17,11 @@ StarCache BuildStarCache(const QueryGraph& graph, const RelGraph& rel_graph,
   }
   cache.bucket_offsets.push_back(0);
   cache.unit_offsets.push_back(0);
-  // Replays the legacy bucket construction exactly (including the
-  // std::find-based dedup of parallel-predicate extras) so bucket contents,
-  // order, and — crucially for the cheapest-group tie-break — bucket sizes
-  // match the oracle byte for byte.
+  // Per center tuple t and adjacent group: one unit per neighbor w reached
+  // through the group's first predicate (w's edge for every predicate, or
+  // kNoEdge), and a bucket of all of t's edges in the group, parallel-
+  // predicate edges not reachable through the first predicate included, so
+  // "ask all edges of t" is complete.
   for (VertexId t : graph.relation_vertices(center_rel)) {
     for (int g : rel_graph.adjacent_groups[center_rel]) {
       const RelGraph::Group& group = rel_graph.groups[g];
@@ -233,16 +129,6 @@ void StarSelection(const QueryGraph& graph, const StarCache& cache,
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-std::vector<EdgeId> SelectTasksKnownColors(const QueryGraph& graph,
-                                           const std::vector<EdgeColor>& colors) {
-  RelGraph rel_graph = BuildRelGraph(graph);
-  if (Classify(rel_graph) == JoinStructure::kStar) {
-    return StarSelection(graph, rel_graph, StarCenter(rel_graph), colors);
-  }
-  ChainPlan plan = BuildChainPlan(graph);
-  return ChainMinCutSelection(graph, plan, colors).AllEdges();
 }
 
 }  // namespace cdb

@@ -2,11 +2,10 @@
 // directly by the OptTree-style oracle analyses and per-sample by the
 // sampling-based min-cut greedy (Section 5.1.2).
 //
-// Each selection has two implementations with byte-identical output: the
-// legacy rebuild-per-call path (the identity oracle) and a cached path over
-// precomputed color-independent structures (StarCache here, MinCutCache in
-// flow/min_cut.h, both bundled by cost/structure_cache.h) that the sampler
-// reuses across thousands of samples.
+// Both selection rules run over precomputed color-independent structures
+// (StarCache here, MinCutCache in flow/min_cut.h, both bundled by
+// cost/structure_cache.h, whose SelectTasksKnownColors dispatches between
+// them), so the sampler reuses them across thousands of samples.
 #ifndef CDB_COST_KNOWN_COLOR_H_
 #define CDB_COST_KNOWN_COLOR_H_
 
@@ -18,31 +17,11 @@
 
 namespace cdb {
 
-// Returns the set of edges that must be asked to find all answers given the
-// full coloring `colors` (every edge kBlue or kRed). Dispatches on the join
-// structure: the dedicated per-center-tuple rule for stars, and the Lemma-1
-// chain min-cut (after tree/graph -> chain transformation) otherwise.
-std::vector<EdgeId> SelectTasksKnownColors(const QueryGraph& graph,
-                                           const std::vector<EdgeColor>& colors);
-
-// The star-join rule, exposed for testing: for each center tuple, if it has a
-// BLUE edge to every leaf relation all its edges must be asked; otherwise ask
-// only the leaf relation with the fewest (all-RED) edges. `rel_graph` must be
-// BuildRelGraph(graph) — callers that already hold one pass it in instead of
-// rebuilding it per call.
-std::vector<EdgeId> StarSelection(const QueryGraph& graph,
-                                  const RelGraph& rel_graph, int center_rel,
-                                  const std::vector<EdgeColor>& colors);
-// Convenience wrapper that builds the RelGraph itself.
-std::vector<EdgeId> StarSelection(const QueryGraph& graph, int center_rel,
-                                  const std::vector<EdgeColor>& colors);
-
 // Color-independent skeleton of the star rule for one center relation: the
-// per-(tuple, group) edge buckets and the per-neighbor member units, in the
-// exact order the legacy construction enumerated them. Buckets drive both
-// "ask all edges of t" and the cheapest-group tie-break (bucket sizes
-// included), units drive group satisfaction; only the color tests remain
-// per call.
+// per-(tuple, group) edge buckets and the per-neighbor member units. Buckets
+// drive both "ask all edges of t" and the cheapest-group tie-break (bucket
+// sizes included), units drive group satisfaction; only the color tests
+// remain per call.
 struct StarCache {
   int center_rel = -1;
   int num_groups = 0;  // Adjacent groups of the center relation.
@@ -58,11 +37,14 @@ struct StarCache {
   std::vector<EdgeId> unit_members;
 };
 
+// `rel_graph` must be BuildRelGraph(graph).
 StarCache BuildStarCache(const QueryGraph& graph, const RelGraph& rel_graph,
                          int center_rel);
 
-// Cached star rule: fills `out` with the same (sorted, deduplicated) edge set
-// as StarSelection. `out` is cleared first.
+// The star-join rule: for each center tuple, if it has a BLUE edge to every
+// leaf relation all its edges must be asked; otherwise ask only the leaf
+// relation with the fewest (all-RED) edges. Fills `out` (cleared first) with
+// the sorted, deduplicated edge set.
 void StarSelection(const QueryGraph& graph, const StarCache& cache,
                    const std::vector<EdgeColor>& colors,
                    std::vector<EdgeId>* out);

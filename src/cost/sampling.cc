@@ -40,8 +40,8 @@ struct OccurrenceReduction {
 
 // Draws the coloring of sample `s` into `colors`: known colors are kept,
 // unknown edges are BLUE with probability omega(e). Scans the SoA columns;
-// the Rng consumption order (unknown edges in ascending id) is part of the
-// bit-identity contract with the legacy path.
+// the Rng consumption order (unknown edges in ascending id) fixes every
+// sampled coloring, and with it the order this sampler returns.
 void SampleColors(const QueryGraph& graph, uint64_t seed, int64_t s,
                   std::vector<EdgeColor>* colors) {
   Rng rng(seed, static_cast<uint64_t>(s));
@@ -69,10 +69,9 @@ std::vector<EdgeId> SampleMinCutOrder(const QueryGraph& graph,
   OccurrenceReduction reduction(static_cast<size_t>(graph.num_edges()));
 
   // The color-independent selection skeleton is built once and shared
-  // read-only by all workers (unless the caller supplied one, or the legacy
-  // oracle path was requested).
+  // read-only by all workers (unless the caller supplied one).
   std::optional<StructureCache> local_cache;
-  if (!options.legacy_selection && cache == nullptr) {
+  if (cache == nullptr) {
     local_cache.emplace(StructureCache::Build(graph));
     cache = &*local_cache;
   }
@@ -90,15 +89,9 @@ std::vector<EdgeId> SampleMinCutOrder(const QueryGraph& graph,
         SelectionArena arena;
         for (int64_t s = chunk_begin; s < chunk_end; ++s) {
           SampleColors(graph, options.seed, s, &arena.colors);
-          if (options.legacy_selection) {
-            for (EdgeId e : SelectTasksKnownColors(graph, arena.colors)) {
-              ++local[e];
-            }
-          } else {
-            SelectTasksKnownColors(graph, arena.colors, *cache, &arena,
-                                   &arena.selected);
-            for (EdgeId e : arena.selected) ++local[e];
-          }
+          SelectTasksKnownColors(graph, arena.colors, *cache, &arena,
+                                 &arena.selected);
+          for (EdgeId e : arena.selected) ++local[e];
         }
         reduction.Fold(local);
       },

@@ -37,8 +37,11 @@ struct SelectionArena {
   std::vector<EdgeId> selected;   // Per-sample selection buffer.
 };
 
-// Cached equivalent of SelectTasksKnownColors(graph, colors): fills `out`
-// (cleared first) with a byte-identical edge sequence.
+// Returns, in `out` (cleared first), the edges that must be asked to find
+// all answers given the full coloring `colors` (every edge kBlue or kRed).
+// Dispatches on the join structure: the per-center-tuple rule for stars, and
+// the Lemma-1 chain min cut (after the tree/graph -> chain transformation)
+// otherwise.
 void SelectTasksKnownColors(const QueryGraph& graph,
                             const std::vector<EdgeColor>& colors,
                             const StructureCache& cache, SelectionArena* arena,

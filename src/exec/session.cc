@@ -285,16 +285,12 @@ Result<bool> QuerySession::StepBuildGraph() {
     WallTimer timer;
     SamplingOptions sampling{options_.sampling_samples,
                              options_.platform.seed ^ 0x5eedULL,
-                             options_.num_threads,
-                             options_.sampling_legacy_selection};
+                             options_.num_threads};
     // The color-independent selection skeleton is built once per graph and
     // shared read-only across the sampler's workers (and rebuilt after a
     // snapshot restore — it is transient state).
-    if (!sampling.legacy_selection) {
-      structure_cache_.emplace(StructureCache::Build(graph_));
-    }
-    sampling_order_ = SampleMinCutOrder(
-        graph_, sampling, structure_cache_ ? &*structure_cache_ : nullptr);
+    structure_cache_.emplace(StructureCache::Build(graph_));
+    sampling_order_ = SampleMinCutOrder(graph_, sampling, &*structure_cache_);
     result_.stats.selection_ms += timer.ElapsedMs();
   }
 

@@ -119,11 +119,6 @@ struct ExecutorOptions {
   // answers (instead of the flat 0.7 prior).
   int golden_tasks = 0;
   int sampling_samples = 100;
-  // Route the sampling min-cut through the legacy rebuild-per-sample
-  // selection instead of the cached flat structures. Byte-identical task
-  // orderings and colors either way (the optimizer identity suite proves
-  // it); exists for tests and the perf-trajectory benches.
-  bool sampling_legacy_selection = false;
   // Threads for the optimizer's parallel stages (sampling min-cut, EM truth
   // inference; graph.num_threads covers the build-time similarity joins):
   // <= 0 = all hardware threads, 1 = the exact serial path. Results are

@@ -403,8 +403,7 @@ Status QuerySession::Restore(std::string_view blob) {
     }
     // The optimizer's structure cache is transient: rebuilt from the graph
     // under the same conditions StepBuildGraph uses, never serialized.
-    if (!options_.budget && options_.cost_method == CostMethod::kSampling &&
-        !options_.sampling_legacy_selection) {
+    if (!options_.budget && options_.cost_method == CostMethod::kSampling) {
       structure_cache_.emplace(StructureCache::Build(graph_));
     }
   }

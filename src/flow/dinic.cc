@@ -98,14 +98,6 @@ int64_t MaxFlow::Compute(int s, int t) {
   return flow;
 }
 
-std::vector<bool> MaxFlow::SourceSide(int s) const {
-  std::vector<uint8_t> flat;
-  SourceSideInto(s, &flat);
-  std::vector<bool> reachable(num_nodes_, false);
-  for (int v = 0; v < num_nodes_; ++v) reachable[v] = flat[v] != 0;
-  return reachable;
-}
-
 void MaxFlow::SourceSideInto(int s, std::vector<uint8_t>* reachable) const {
   CDB_DCHECK(indexed_);
   reachable->assign(num_nodes_, 0);

@@ -39,10 +39,9 @@ class MaxFlow {
   // per Reset().
   int64_t Compute(int s, int t);
 
-  // After Compute: nodes reachable from s in the residual network (the
-  // source side of a min cut).
-  std::vector<bool> SourceSide(int s) const;
-  // Same, into a caller-reused buffer (resized to num_nodes, values 0/1).
+  // After Compute: marks the nodes reachable from s in the residual network
+  // (the source side of a min cut) in a caller-reused buffer, resized to
+  // num_nodes with values 0/1.
   void SourceSideInto(int s, std::vector<uint8_t>* reachable) const;
 
   int arc_from(int id) const { return arcs_[id ^ 1].to; }

@@ -7,165 +7,6 @@
 #include "flow/dinic.h"
 
 namespace cdb {
-namespace {
-
-// A combined tuple pair between adjacent layers: one member edge per
-// predicate of the connecting group. Used only by the legacy oracle path;
-// the cached path keeps the same data in MinCutCache's flat arrays.
-struct LayerPair {
-  int layer = 0;  // Between occurrence `layer` and `layer + 1`.
-  int a_idx = 0;  // Position within layer_vertices[layer].
-  int b_idx = 0;  // Position within layer_vertices[layer + 1].
-  std::vector<EdgeId> members;
-  bool red = false;
-  EdgeId red_member = kNoEdge;
-};
-
-}  // namespace
-
-ChainSelection ChainMinCutSelection(const QueryGraph& graph,
-                                    const ChainPlan& plan,
-                                    const std::vector<EdgeColor>& colors) {
-  CDB_CHECK_EQ(colors.size(), static_cast<size_t>(graph.num_edges()));
-  const size_t m = plan.occ_rel.size();
-  ChainSelection out;
-  if (m < 2) return out;
-
-  RelGraph rel_graph = BuildRelGraph(graph);
-
-  auto layer_size = [&](size_t i) {
-    return graph.relation_vertices(plan.occ_rel[i]).size();
-  };
-
-  // Build combined pairs per layer boundary. Pairs are keyed by the dense
-  // per-relation tuple positions (QueryGraph::relation_position), ordered by
-  // the std::map — deterministic and color-independent.
-  std::vector<LayerPair> pairs;
-  std::vector<std::vector<int>> pairs_at(m - 1);
-  for (size_t i = 0; i + 1 < m; ++i) {
-    const RelGraph::Group& group = rel_graph.groups[plan.occ_group[i]];
-    const int rel_a = plan.occ_rel[i];
-    std::map<std::pair<int, int>, std::vector<EdgeId>> by_pair;
-    for (int p : group.preds) {
-      // Enumerate the predicate's edges once via the smaller relation side.
-      for (VertexId v : graph.relation_vertices(rel_a)) {
-        for (EdgeId e : graph.IncidentEdges(v, p)) {
-          VertexId w = graph.Opposite(e, v);
-          by_pair[{graph.relation_position(v), graph.relation_position(w)}]
-              .push_back(e);
-        }
-      }
-    }
-    for (auto& [key, members] : by_pair) {
-      if (members.size() != group.preds.size()) continue;
-      LayerPair pair;
-      pair.layer = static_cast<int>(i);
-      pair.a_idx = key.first;
-      pair.b_idx = key.second;
-      pair.members = members;
-      for (EdgeId e : members) {
-        if (colors[e] == EdgeColor::kRed) {
-          pair.red = true;
-          pair.red_member = e;
-          break;
-        }
-      }
-      pairs_at[i].push_back(static_cast<int>(pairs.size()));
-      pairs.push_back(std::move(pair));
-    }
-  }
-
-  // BLUE-chain DP: forward[i][idx] = a blue path reaches this occurrence from
-  // layer 0; backward = it reaches layer m-1.
-  std::vector<std::vector<uint8_t>> forward(m), backward(m);
-  for (size_t i = 0; i < m; ++i) {
-    forward[i].assign(layer_size(i), 0);
-    backward[i].assign(layer_size(i), 0);
-  }
-  std::fill(forward[0].begin(), forward[0].end(), 1);
-  std::fill(backward[m - 1].begin(), backward[m - 1].end(), 1);
-  for (size_t i = 0; i + 1 < m; ++i) {
-    for (int pid : pairs_at[i]) {
-      const LayerPair& pair = pairs[pid];
-      if (!pair.red && forward[i][pair.a_idx]) forward[i + 1][pair.b_idx] = 1;
-    }
-  }
-  for (size_t i = m - 1; i-- > 0;) {
-    for (int pid : pairs_at[i]) {
-      const LayerPair& pair = pairs[pid];
-      if (!pair.red && backward[i + 1][pair.b_idx]) backward[i][pair.a_idx] = 1;
-    }
-  }
-
-  // B-edges: members of blue pairs lying on a complete blue chain.
-  std::vector<uint8_t> edge_taken(graph.num_edges(), 0);
-  std::vector<uint8_t> pair_is_b(pairs.size(), 0);
-  for (size_t pid = 0; pid < pairs.size(); ++pid) {
-    const LayerPair& pair = pairs[pid];
-    if (pair.red) continue;
-    if (forward[pair.layer][pair.a_idx] && backward[pair.layer + 1][pair.b_idx]) {
-      pair_is_b[pid] = 1;
-      for (EdgeId e : pair.members) {
-        if (!edge_taken[e]) {
-          edge_taken[e] = 1;
-          out.blue_chain_edges.push_back(e);
-        }
-      }
-    }
-  }
-
-  // Flow network. Each occurrence vertex has a left node (incoming arcs) and
-  // a right node (outgoing arcs); they coincide unless the vertex is on a
-  // blue chain, in which case the copies are detached and wired to s / t so
-  // every red deviation from the blue chain forms an s-t path (Lemma 1).
-  int64_t num_red = 0;
-  for (const LayerPair& pair : pairs) num_red += pair.red ? 1 : 0;
-  const int64_t kInf = num_red + 1;
-
-  MaxFlow flow(0);
-  const int s = flow.AddNode();
-  const int t = flow.AddNode();
-  std::vector<std::vector<int>> left_node(m), right_node(m);
-  for (size_t i = 0; i < m; ++i) {
-    left_node[i].resize(layer_size(i));
-    right_node[i].resize(layer_size(i));
-    for (size_t idx = 0; idx < layer_size(i); ++idx) {
-      bool on_blue_chain = forward[i][idx] && backward[i][idx];
-      int left = flow.AddNode();
-      int right = on_blue_chain ? flow.AddNode() : left;
-      left_node[i][idx] = left;
-      right_node[i][idx] = right;
-      if (on_blue_chain) {
-        flow.AddArc(s, right, kInf);
-        flow.AddArc(left, t, kInf);
-      }
-      if (i == 0) flow.AddArc(s, right, kInf);
-      if (i == m - 1) flow.AddArc(left, t, kInf);
-    }
-  }
-  std::vector<std::pair<int, int>> red_arc_to_pair;  // (arc id, pair id).
-  for (size_t pid = 0; pid < pairs.size(); ++pid) {
-    const LayerPair& pair = pairs[pid];
-    if (pair_is_b[pid]) continue;  // Blue-chain edges are removed.
-    int from = right_node[pair.layer][pair.a_idx];
-    int to = left_node[pair.layer + 1][pair.b_idx];
-    int arc = flow.AddArc(from, to, pair.red ? 1 : kInf);
-    if (pair.red) red_arc_to_pair.push_back({arc, static_cast<int>(pid)});
-  }
-
-  flow.Compute(s, t);
-  std::vector<bool> source_side = flow.SourceSide(s);
-  for (auto [arc, pid] : red_arc_to_pair) {
-    if (source_side[flow.arc_from(arc)] && !source_side[flow.arc_to(arc)]) {
-      EdgeId e = pairs[pid].red_member;
-      if (!edge_taken[e]) {
-        edge_taken[e] = 1;
-        out.cut_edges.push_back(e);
-      }
-    }
-  }
-  return out;
-}
 
 MinCutCache BuildMinCutCache(const QueryGraph& graph,
                              const RelGraph& rel_graph,
@@ -187,8 +28,11 @@ MinCutCache BuildMinCutCache(const QueryGraph& graph,
   for (size_t i = 0; i + 1 < cache.m; ++i) {
     const RelGraph::Group& group = rel_graph.groups[plan.occ_group[i]];
     const int rel_a = plan.occ_rel[i];
-    // Identical enumeration to the oracle above: std::map order over dense
-    // tuple positions, members in group-predicate order.
+    // Pairs are keyed by the dense per-relation tuple positions
+    // (QueryGraph::relation_position) and enumerated in std::map order —
+    // deterministic and color-independent — with members in
+    // group-predicate order. A pair joins the network only when it has one
+    // member per predicate of the group.
     std::map<std::pair<int, int>, std::vector<EdgeId>> by_pair;
     for (int p : group.preds) {
       for (VertexId v : graph.relation_vertices(rel_a)) {
@@ -222,7 +66,7 @@ void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
   const size_t num_pairs = cache.num_pairs();
   const size_t num_occ = static_cast<size_t>(cache.layer_offsets[m]);
 
-  // Per-pair color classification: first RED member wins, as in the oracle.
+  // Per-pair color classification: the first RED member stands for the pair.
   arena->pair_red.assign(num_pairs, 0);
   arena->pair_red_member.assign(num_pairs, kNoEdge);
   for (size_t pid = 0; pid < num_pairs; ++pid) {
@@ -268,8 +112,8 @@ void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
     }
   }
 
-  // B-edges: members of blue pairs lying on a complete blue chain. Emitted in
-  // pair order then member order — the oracle's blue_chain_edges order.
+  // B-edges: members of blue pairs lying on a complete blue chain, emitted in
+  // pair order then member order.
   arena->edge_taken.assign(static_cast<size_t>(graph.num_edges()), 0);
   arena->pair_is_b.assign(num_pairs, 0);
   for (size_t i = 0; i + 1 < m; ++i) {
@@ -291,9 +135,13 @@ void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
     }
   }
 
-  // Flow network, rebuilt with reset-not-rebuild scratch. Node ids and arc
-  // insertion order replicate the oracle exactly, so Dinic's augmentation
-  // order — and therefore the reported min cut — is unchanged.
+  // Flow network, rebuilt with reset-not-rebuild scratch. Each occurrence
+  // vertex has a left node (incoming arcs) and a right node (outgoing arcs);
+  // they coincide unless the vertex is on a blue chain, in which case the
+  // copies are detached and wired to s / t so every red deviation from the
+  // blue chain forms an s-t path (Lemma 1). Node ids and arc insertion order
+  // fix Dinic's augmentation order, and with it which minimum cut is
+  // reported.
   int64_t num_red = 0;
   for (size_t pid = 0; pid < num_pairs; ++pid) {
     num_red += arena->pair_red[pid] ? 1 : 0;

@@ -8,15 +8,10 @@
 // the construction after the Section-5.1.1 chain transformation (at the cost
 // of duplicated relation occurrences, exactly as in the paper).
 //
-// Two entry points share the construction:
-//  - ChainMinCutSelection(graph, plan, colors): the legacy rebuild-per-call
-//    oracle — re-derives the layer pairs and allocates fresh scratch every
-//    call. Retained as the identity reference for the cached path.
-//  - ChainMinCutSelection(graph, cache, colors, arena, out): the flat path.
-//    The color-independent skeleton (combined layer pairs, member CSR, layer
-//    sizes) comes from a MinCutCache built once per graph; all per-call
-//    scratch lives in a caller-owned FlowArena that is reset, not
-//    reallocated, between calls. Output is byte-identical to the oracle.
+// The color-independent skeleton (combined layer pairs, member CSR, layer
+// sizes) comes from a MinCutCache built once per graph; all per-call scratch
+// lives in a caller-owned FlowArena that is reset, not reallocated, between
+// calls.
 #ifndef CDB_FLOW_MIN_CUT_H_
 #define CDB_FLOW_MIN_CUT_H_
 
@@ -29,22 +24,10 @@
 
 namespace cdb {
 
-// Output of the known-color chain selection.
-struct ChainSelection {
-  std::vector<EdgeId> blue_chain_edges;  // Must ask: they form the answers.
-  std::vector<EdgeId> cut_edges;         // Must ask: RED edges of the min cut.
-
-  std::vector<EdgeId> AllEdges() const {
-    std::vector<EdgeId> all = blue_chain_edges;
-    all.insert(all.end(), cut_edges.begin(), cut_edges.end());
-    return all;
-  }
-};
-
 // The color-independent skeleton of the Lemma-1 network for one ChainPlan:
-// every combined tuple pair between adjacent layers, in the exact
-// deterministic order the legacy construction enumerated them, with member
-// edges in a flat CSR. Built once per graph; reused across samples/rounds.
+// every combined tuple pair between adjacent layers, per layer boundary in
+// ascending (tuple position, tuple position) order, with member edges in a
+// flat CSR. Built once per graph; reused across samples/rounds.
 struct MinCutCache {
   size_t m = 0;                    // Number of chain occurrences.
   std::vector<int32_t> layer_sizes;  // Tuples per occurrence layer (size m).
@@ -66,9 +49,9 @@ struct MinCutCache {
 MinCutCache BuildMinCutCache(const QueryGraph& graph,
                              const RelGraph& rel_graph, const ChainPlan& plan);
 
-// Reusable per-call scratch for the cached ChainMinCutSelection. Vectors are
-// resized (capacity kept) on every call; a default-constructed arena and a
-// reused one produce byte-identical results.
+// Reusable per-call scratch for ChainMinCutSelection. Vectors are resized
+// (capacity kept) on every call; a default-constructed arena and a reused
+// one produce byte-identical results.
 struct FlowArena {
   std::vector<uint8_t> pair_red;       // Per pair: has a RED member.
   std::vector<EdgeId> pair_red_member; // First RED member (kNoEdge if none).
@@ -86,13 +69,8 @@ struct FlowArena {
 
 // Runs the Lemma-1 selection. `colors[e]` supplies the (known or sampled)
 // color of every edge and must be kBlue or kRed for each edge of the graph.
-// Legacy rebuild-per-call oracle.
-ChainSelection ChainMinCutSelection(const QueryGraph& graph,
-                                    const ChainPlan& plan,
-                                    const std::vector<EdgeColor>& colors);
-
-// Flat cached path: appends the selection to `out` in the same order as
-// ChainSelection::AllEdges() (blue-chain edges, then cut edges).
+// Appends to `out` first the edges on complete all-BLUE chains (they form
+// the answers), then the RED edges of the minimum cut.
 void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
                           const std::vector<EdgeColor>& colors,
                           FlowArena* arena, std::vector<EdgeId>* out);

@@ -225,8 +225,6 @@ Result<QueryGraph> QueryGraph::Build(const ResolvedQuery& query,
     if (join.is_crowd) {
       SimJoinOptions join_options;
       join_options.num_threads = options.num_threads;
-      join_options.kernel = options.sim_kernel;
-      join_options.signature_filter = options.sim_signature_filter;
       join_options.metrics = options.sim_metrics;
       std::vector<SimPair> pairs = SimilarityJoin(
           left_vals, right_vals, options.sim_fn, options.epsilon, join_options);

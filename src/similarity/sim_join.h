@@ -7,20 +7,14 @@
 // AllPairs-style prefix filter for the token-based measures and a
 // length/q-gram filter plus banded verification for edit distance.
 //
-// Two kernels produce bit-identical output (ctest -L simjoin proves it):
-//
-//   kFlat    The default. Posting lists live in CSR arrays (csr_index.h),
-//            encoded token sets in a flat SoA arena. The token joins probe
-//            PPJoin-style: prefix postings carry token positions, and a
-//            positional bound drops candidates whose overlap can no longer
-//            reach the threshold. A 64-bit XOR+popcount signature
-//            pre-filter (signature.h) rejects further provably-below-
-//            threshold pairs before the exact verify, which merges only the
-//            dense-id suffixes after the last prefix matches instead of
-//            re-comparing string sets.
-//   kLegacy  The original hash-map kernel, kept as the bit-identity oracle
-//            for tests and as the baseline the perf-trajectory artifact
-//            (BENCH_simjoin.json) measures speedups against.
+// Posting lists live in CSR arrays (csr_index.h), encoded token sets in a
+// flat SoA arena. The token joins probe PPJoin-style: prefix postings carry
+// token positions, and a positional bound drops candidates whose overlap can
+// no longer reach the threshold. A 64-bit XOR+popcount signature pre-filter
+// (signature.h) rejects further provably-below-threshold pairs before the
+// exact verify, which merges only the dense-id suffixes after the last
+// prefix matches instead of re-comparing string sets. `ctest -L simjoin`
+// checks every join against a nested loop over ComputeSimilarity.
 #ifndef CDB_SIMILARITY_SIM_JOIN_H_
 #define CDB_SIMILARITY_SIM_JOIN_H_
 
@@ -42,43 +36,35 @@ struct SimPair {
   double sim = 0.0;
 };
 
-enum class SimJoinKernel : uint8_t {
-  kFlat,    // CSR posting lists + SoA token arena + signature pre-filter.
-  kLegacy,  // Hash-map reference kernel (bit-identity oracle).
-};
-
-const char* SimJoinKernelName(SimJoinKernel kernel);
-
 struct SimJoinOptions {
   // Threads for candidate verification (the left relation is partitioned
   // into chunks probing a shared read-only index): <= 0 uses all hardware
   // threads, 1 runs serially. Output is bit-identical at every thread count —
   // chunk results are concatenated in chunk order, which is left-index order.
   int num_threads = 0;
-  // Which kernel runs the join. Both emit byte-identical SimPair vectors;
-  // kLegacy exists for the identity proof and the perf baseline.
-  SimJoinKernel kernel = SimJoinKernel::kFlat;
-  // Admissible XOR+popcount pre-filter ahead of exact verification (flat
-  // kernel only). Never changes the output — it rejects a pair only when the
-  // signature bound already proves the similarity misses the threshold (see
-  // similarity/signature.h) — only the amount of exact verification work.
-  bool signature_filter = true;
-  // Optional funnel sink (borrowed, may be null = disabled). The kernels
-  // count simjoin.candidates (pairs surviving candidate generation — index
-  // lookup + dedup for the token joins, length + shared-gram filters for
-  // edit distance), simjoin.position_rejects (dropped by the flat token
-  // joins' positional bound), simjoin.signature_rejects (killed by the
-  // signature bound), simjoin.verified (reaching exact verification) and
+  // Optional funnel sink (borrowed, may be null = disabled). The joins count
+  // simjoin.candidates (pairs surviving candidate generation — index lookup
+  // + dedup for the token joins, length + shared-gram filters for edit
+  // distance), simjoin.position_rejects (dropped by the token joins'
+  // positional bound), simjoin.signature_rejects (killed by the signature
+  // bound, which only ever rejects a pair whose similarity provably misses
+  // the threshold), simjoin.verified (reaching exact verification) and
   // simjoin.pairs (emitted). candidates == position_rejects +
   // signature_rejects + verified always.
   MetricsRegistry* metrics = nullptr;
 };
 
 // Returns all pairs (i, j) with ComputeSimilarity(fn, left[i], right[j]) >=
-// threshold. Exact (verification recomputes the true similarity); the filter
-// only prunes. For kNoSim every pair has similarity 0.5, so the result is the
-// full cross product when threshold <= 0.5 and empty otherwise. Pairs are
-// emitted in ascending (left, right) order.
+// threshold, with that similarity bit for bit. Exact (verification
+// recomputes the true similarity); the filters only prune. For kNoSim every
+// pair has similarity 0.5, so the result is the full cross product when
+// threshold <= 0.5 and empty otherwise.
+//
+// Order: ascending left index. Within one left record, the token joins emit
+// in first-seen candidate order (prefix token by prefix token, each posting
+// list in ascending right index), which is not ascending right index; edit
+// distance emits in ascending right index. Graph EdgeIds follow this order,
+// at every thread count.
 std::vector<SimPair> SimilarityJoin(const std::vector<std::string>& left,
                                     const std::vector<std::string>& right,
                                     SimilarityFunction fn, double threshold,

@@ -19,6 +19,15 @@ namespace {
 
 // ------------------------------------------------------- Known colors ---
 
+// The star rule with `center` as the center relation.
+std::vector<EdgeId> StarRule(const QueryGraph& graph, int center,
+                             const std::vector<EdgeColor>& colors) {
+  const StarCache cache = BuildStarCache(graph, BuildRelGraph(graph), center);
+  std::vector<EdgeId> out;
+  StarSelection(graph, cache, colors, &out);
+  return out;
+}
+
 TEST(KnownColorTest, Figure1ChainNeedsOnlyThreeTasks) {
   // The paper's headline example: tuple-level selection asks 3 edges where
   // any tree order asks at least 12 of the 12 edges' worth (9 + 3).
@@ -28,7 +37,7 @@ TEST(KnownColorTest, Figure1ChainNeedsOnlyThreeTasks) {
     colors[static_cast<size_t>(e)] =
         graph.edge(e).pred == 1 ? EdgeColor::kRed : EdgeColor::kBlue;
   }
-  std::vector<EdgeId> tasks = SelectTasksKnownColors(graph, colors);
+  std::vector<EdgeId> tasks = testing_util::SelectKnownColors(graph, colors);
   EXPECT_EQ(tasks.size(), 3u);
 }
 
@@ -41,7 +50,7 @@ TEST(KnownColorTest, StarSatisfiedCenterAsksAll) {
   QueryGraph graph = QueryGraph::MakeSynthetic(3, preds, edges);
   std::vector<EdgeColor> colors = {EdgeColor::kBlue, EdgeColor::kRed,
                                    EdgeColor::kBlue, EdgeColor::kRed};
-  std::vector<EdgeId> tasks = StarSelection(graph, 0, colors);
+  std::vector<EdgeId> tasks = StarRule(graph, 0, colors);
   EXPECT_EQ(tasks.size(), 4u);
 }
 
@@ -53,7 +62,7 @@ TEST(KnownColorTest, StarUnsatisfiedCenterAsksCheapestRedGroup) {
       {0, 0, 0, 0.4}, {0, 0, 1, 0.4}, {0, 0, 2, 0.4}, {1, 0, 0, 0.4}};
   QueryGraph graph = QueryGraph::MakeSynthetic(3, preds, edges);
   std::vector<EdgeColor> colors(4, EdgeColor::kRed);
-  std::vector<EdgeId> tasks = StarSelection(graph, 0, colors);
+  std::vector<EdgeId> tasks = StarRule(graph, 0, colors);
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(graph.edge(tasks[0]).pred, 1);
 }
@@ -66,7 +75,7 @@ TEST(KnownColorTest, StarMixedBluePathStillRefutedCheaply) {
   QueryGraph graph = QueryGraph::MakeSynthetic(3, preds, edges);
   std::vector<EdgeColor> colors = {EdgeColor::kBlue, EdgeColor::kBlue,
                                    EdgeColor::kRed, EdgeColor::kRed};
-  std::vector<EdgeId> tasks = StarSelection(graph, 0, colors);
+  std::vector<EdgeId> tasks = StarRule(graph, 0, colors);
   EXPECT_EQ(tasks.size(), 2u);
   for (EdgeId e : tasks) EXPECT_EQ(graph.edge(e).pred, 1);
 }
@@ -77,7 +86,7 @@ TEST(KnownColorTest, DispatchesOnStructure) {
   QueryGraph chain = testing_util::MakeFigure4Neighborhood();
   std::vector<EdgeColor> blue(static_cast<size_t>(chain.num_edges()),
                               EdgeColor::kBlue);
-  EXPECT_FALSE(SelectTasksKnownColors(chain, blue).empty());
+  EXPECT_FALSE(testing_util::SelectKnownColors(chain, blue).empty());
 }
 
 // --------------------------------------------------------- Expectation ---

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "flow/dinic.h"
 #include "flow/min_cut.h"
@@ -23,10 +25,9 @@ TEST(DinicTest, Bottleneck) {
   flow.AddArc(0, 1, 5);
   flow.AddArc(1, 2, 3);
   EXPECT_EQ(flow.Compute(0, 2), 3);
-  std::vector<bool> side = flow.SourceSide(0);
-  EXPECT_TRUE(side[0]);
-  EXPECT_TRUE(side[1]);
-  EXPECT_FALSE(side[2]);
+  std::vector<uint8_t> side;
+  flow.SourceSideInto(0, &side);
+  EXPECT_EQ(side, (std::vector<uint8_t>{1, 1, 0}));
 }
 
 TEST(DinicTest, ClassicNetwork) {
@@ -64,6 +65,30 @@ std::vector<EdgeColor> AllColors(const QueryGraph& graph, EdgeColor color) {
   return std::vector<EdgeColor>(static_cast<size_t>(graph.num_edges()), color);
 }
 
+// The Lemma-1 selection split by color: the BLUE edges it asks lie on
+// complete blue chains, the RED ones form the minimum cut.
+struct SplitSelection {
+  std::set<EdgeId> blue_chain;
+  std::set<EdgeId> cut;
+};
+
+SplitSelection ChainSelect(const QueryGraph& graph,
+                           const std::vector<EdgeColor>& colors) {
+  const MinCutCache cache =
+      BuildMinCutCache(graph, BuildRelGraph(graph), BuildChainPlan(graph));
+  FlowArena arena;
+  std::vector<EdgeId> selected;
+  ChainMinCutSelection(graph, cache, colors, &arena, &selected);
+  SplitSelection out;
+  for (EdgeId e : selected) {
+    std::set<EdgeId>& side =
+        colors[static_cast<size_t>(e)] == EdgeColor::kBlue ? out.blue_chain
+                                                           : out.cut;
+    EXPECT_TRUE(side.insert(e).second) << "edge " << e << " asked twice";
+  }
+  return out;
+}
+
 TEST(ChainMinCutTest, Figure1OptimalThreeAsks) {
   // The motivating example: the 3 pred-1 edges are RED; cutting them saves
   // all 9 pred-0 edges.
@@ -73,21 +98,19 @@ TEST(ChainMinCutTest, Figure1OptimalThreeAsks) {
     colors[static_cast<size_t>(e)] =
         graph.edge(e).pred == 1 ? EdgeColor::kRed : EdgeColor::kBlue;
   }
-  ChainSelection sel =
-      ChainMinCutSelection(graph, BuildChainPlan(graph), colors);
-  EXPECT_TRUE(sel.blue_chain_edges.empty());  // No complete blue chain.
-  EXPECT_EQ(sel.cut_edges.size(), 3u);
-  for (EdgeId e : sel.cut_edges) EXPECT_EQ(graph.edge(e).pred, 1);
+  SplitSelection sel = ChainSelect(graph, colors);
+  EXPECT_TRUE(sel.blue_chain.empty());  // No complete blue chain.
+  EXPECT_EQ(sel.cut.size(), 3u);
+  for (EdgeId e : sel.cut) EXPECT_EQ(graph.edge(e).pred, 1);
 }
 
 TEST(ChainMinCutTest, AllBlueAsksEverythingOnChains) {
   QueryGraph graph = testing_util::MakeFigure1Chain();
-  ChainSelection sel = ChainMinCutSelection(graph, BuildChainPlan(graph),
-                                            AllColors(graph, EdgeColor::kBlue));
+  SplitSelection sel = ChainSelect(graph, AllColors(graph, EdgeColor::kBlue));
   // Every edge participates in a complete blue chain here (T2 row 0 carries
   // all pred-1 edges; rows 1,2 of T2 have no pred-1 edge so their pred-0
   // edges are NOT on blue chains).
-  std::set<EdgeId> blue(sel.blue_chain_edges.begin(), sel.blue_chain_edges.end());
+  const std::set<EdgeId>& blue = sel.blue_chain;
   int pred0_on_chain = 0;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const GraphEdge& edge = graph.edge(e);
@@ -99,7 +122,7 @@ TEST(ChainMinCutTest, AllBlueAsksEverythingOnChains) {
     if (edge.pred == 0 && blue.count(e)) ++pred0_on_chain;
   }
   EXPECT_EQ(pred0_on_chain, 3);
-  EXPECT_TRUE(sel.cut_edges.empty());  // Nothing red to cut.
+  EXPECT_TRUE(sel.cut.empty());  // Nothing red to cut.
 }
 
 TEST(ChainMinCutTest, MixedFigure5Style) {
@@ -122,14 +145,12 @@ TEST(ChainMinCutTest, MixedFigure5Style) {
   std::vector<EdgeColor> colors = {EdgeColor::kBlue, EdgeColor::kBlue,
                                    EdgeColor::kRed,  EdgeColor::kRed,
                                    EdgeColor::kRed,  EdgeColor::kRed};
-  ChainSelection sel =
-      ChainMinCutSelection(graph, BuildChainPlan(graph), colors);
-  std::set<EdgeId> blue(sel.blue_chain_edges.begin(), sel.blue_chain_edges.end());
-  EXPECT_EQ(blue, (std::set<EdgeId>{0, 1}));
+  SplitSelection sel = ChainSelect(graph, colors);
+  EXPECT_EQ(sel.blue_chain, (std::set<EdgeId>{0, 1}));
   // Red deviations through b0 (edges 2 and 3) each form their own s-t path
   // via the split blue vertex; the b1 path needs one of {4, 5}. Min cut = 3.
-  EXPECT_EQ(sel.cut_edges.size(), 3u);
-  std::set<EdgeId> cut(sel.cut_edges.begin(), sel.cut_edges.end());
+  const std::set<EdgeId>& cut = sel.cut;
+  EXPECT_EQ(cut.size(), 3u);
   EXPECT_TRUE(cut.count(2));
   EXPECT_TRUE(cut.count(3));
   EXPECT_TRUE(cut.count(4) || cut.count(5));
@@ -141,7 +162,6 @@ TEST(ChainMinCutTest, SelectionIsSound) {
   // chain consists of selected blue edges, and every non-blue chain contains
   // a selected RED edge.
   QueryGraph graph = testing_util::MakeFigure1Chain();
-  ChainPlan plan = BuildChainPlan(graph);
   for (uint64_t mask = 0; mask < 64; ++mask) {
     // Color the 3 pred-1 edges and 3 of the pred-0 edges from the mask.
     std::vector<EdgeColor> colors(static_cast<size_t>(graph.num_edges()),
@@ -156,10 +176,9 @@ TEST(ChainMinCutTest, SelectionIsSound) {
         }
       }
     }
-    ChainSelection sel = ChainMinCutSelection(graph, plan, colors);
-    std::set<EdgeId> selected(sel.blue_chain_edges.begin(),
-                              sel.blue_chain_edges.end());
-    selected.insert(sel.cut_edges.begin(), sel.cut_edges.end());
+    SplitSelection sel = ChainSelect(graph, colors);
+    std::set<EdgeId> selected = sel.blue_chain;
+    selected.insert(sel.cut.begin(), sel.cut.end());
     // Enumerate all chains (t1, t2, t3) and check coverage.
     for (int64_t a = 0; a < 3; ++a) {
       for (int64_t b = 0; b < 3; ++b) {

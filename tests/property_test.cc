@@ -18,6 +18,7 @@
 #include "graph/structure.h"
 #include "latency/scheduler.h"
 #include "quality/truth_inference.h"
+#include "tests/test_util.h"
 
 namespace cdb {
 namespace {
@@ -95,7 +96,8 @@ TEST_P(TreeGraphPropertyTest, KnownColorSelectionDeterminesAllAnswers) {
     colors[static_cast<size_t>(e)] =
         rng.Bernoulli(0.4) ? EdgeColor::kBlue : EdgeColor::kRed;
   }
-  std::vector<EdgeId> selected_vec = SelectTasksKnownColors(graph, colors);
+  std::vector<EdgeId> selected_vec =
+      testing_util::SelectKnownColors(graph, colors);
   std::set<EdgeId> selected(selected_vec.begin(), selected_vec.end());
   EnumerateCandidates(graph, [&](const Assignment& candidate) {
     std::vector<EdgeId> edges = AssignmentEdges(graph, candidate);

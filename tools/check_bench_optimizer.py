@@ -3,13 +3,9 @@
 
 The graphs and sampler orderings are deterministic in the workload seeds, so
 the edge counts, ordering lengths, and ordering checksums must match the
-golden file exactly — any drift means the sampler or a selection path changed
-behavior. The legacy and flat checksums must also agree within the fresh run:
-that is the cached-structures identity contract measured end to end.
-Wall-clock numbers are machine-dependent, so only the flat-vs-legacy *ratio*
-is compared: the fresh speedup may not regress more than --tolerance below
-the golden speedup, and the headline large-chain workload must keep a floor
-speedup regardless of the golden value.
+golden file exactly — any drift means the sampler or the known-color
+selection changed behavior. Wall-clock numbers are a machine-dependent
+trajectory and are not gated.
 
 Usage:
   tools/check_bench_optimizer.py --golden BENCH_optimizer.json --fresh fresh.json
@@ -19,14 +15,13 @@ import argparse
 import json
 import sys
 
-COUNTERS = ("edges", "order_len", "checksum_legacy", "checksum_flat")
-HEADLINE = "chain_4rel_midblue_120"
+COUNTERS = ("edges", "order_len", "checksum_flat")
 
 
 def load(path):
     with open(path) as f:
         data = json.load(f)
-    if data.get("schema") != "cdb-bench-optimizer-v1":
+    if data.get("schema") != "cdb-bench-optimizer-v2":
         raise SystemExit(f"{path}: unexpected schema {data.get('schema')!r}")
     return {w["name"]: w for w in data["workloads"]}
 
@@ -35,10 +30,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--golden", required=True)
     parser.add_argument("--fresh", required=True)
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional speedup regression")
-    parser.add_argument("--min-headline-speedup", type=float, default=5.0,
-                        help="hard floor for the large-chain speedup")
     args = parser.parse_args()
 
     golden = load(args.golden)
@@ -52,34 +43,11 @@ def main():
     for name in sorted(set(golden) & set(fresh)):
         g, f = golden[name], fresh[name]
         for counter in COUNTERS:
-            gv, fv = g[counter], f[counter]
-            if gv != fv:
-                errors.append(f"{name}/{counter}: golden {gv!r} != fresh "
-                              f"{fv!r} (deterministic value drifted — the "
-                              f"sampler or a selection path changed behavior)")
-        # The identity contract, measured on the fresh run: the legacy
-        # rebuild-per-sample path and the cached flat path must produce the
-        # same ordering byte for byte.
-        if f["checksum_legacy"] != f["checksum_flat"]:
-            errors.append(f"{name}: legacy and flat orderings diverged "
-                          f"({f['checksum_legacy']} vs {f['checksum_flat']})")
-        # Perf ratio: tolerate noise, fail real regressions. Small-graph
-        # workloads carry little ratio signal — counters gate them above.
-        if g["speedup_flat_over_legacy"] < 1.5:
-            continue
-        floor = g["speedup_flat_over_legacy"] * (1.0 - args.tolerance)
-        got = f["speedup_flat_over_legacy"]
-        if got < floor:
-            errors.append(f"{name}: speedup regressed: fresh {got:.2f}x < "
-                          f"{floor:.2f}x (golden "
-                          f"{g['speedup_flat_over_legacy']:.2f}x "
-                          f"- {args.tolerance:.0%})")
-
-    if HEADLINE in fresh:
-        got = fresh[HEADLINE]["speedup_flat_over_legacy"]
-        if got < args.min_headline_speedup:
-            errors.append(f"{HEADLINE}: headline speedup {got:.2f}x below the "
-                          f"{args.min_headline_speedup:.1f}x floor")
+            if g[counter] != f[counter]:
+                errors.append(f"{name}/{counter}: golden {g[counter]!r} != "
+                              f"fresh {f[counter]!r} (deterministic value "
+                              f"drifted — the sampler or the selection "
+                              f"changed behavior)")
 
     if errors:
         for error in errors:

@@ -3,11 +3,9 @@
 
 The funnel counters (candidates / position_rejects / signature_rejects /
 verified / pairs) are deterministic in the corpus seed, so they must match the
-golden file exactly — any drift means a kernel changed its candidate
-generation or filtering behavior. Wall-clock numbers are machine-dependent,
-so only the flat-vs-legacy *ratio* is compared: the fresh speedup may not
-regress more than --tolerance below the golden speedup, and the headline 10^5
-token-join workload must keep a floor speedup regardless of the golden value.
+golden file exactly — any drift means the join changed its candidate
+generation or filtering behavior — and the fresh funnel must balance.
+Wall-clock numbers are a machine-dependent trajectory and are not gated.
 
 Usage:
   tools/check_bench_simjoin.py --golden BENCH_simjoin.json --fresh fresh.json
@@ -19,13 +17,12 @@ import sys
 
 COUNTERS = ("candidates", "position_rejects", "signature_rejects",
             "verified", "pairs")
-HEADLINE = "word_jaccard_1e5"
 
 
 def load(path):
     with open(path) as f:
         data = json.load(f)
-    if data.get("schema") != "cdb-bench-simjoin-v1":
+    if data.get("schema") != "cdb-bench-simjoin-v2":
         raise SystemExit(f"{path}: unexpected schema {data.get('schema')!r}")
     return {w["name"]: w for w in data["workloads"]}
 
@@ -34,10 +31,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--golden", required=True)
     parser.add_argument("--fresh", required=True)
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional speedup regression")
-    parser.add_argument("--min-headline-speedup", type=float, default=5.0,
-                        help="hard floor for the 10^5 token-join speedup")
     args = parser.parse_args()
 
     golden = load(args.golden)
@@ -49,49 +42,19 @@ def main():
                       f"fresh={sorted(fresh)}")
 
     for name in sorted(set(golden) & set(fresh)):
-        g, f = golden[name], fresh[name]
-        for kernel in ("legacy", "flat"):
-            for counter in COUNTERS:
-                gv, fv = g[kernel][counter], f[kernel][counter]
-                if gv != fv:
-                    errors.append(f"{name}/{kernel}/{counter}: golden {gv} "
-                                  f"!= fresh {fv} (deterministic counter "
-                                  f"drifted — kernel behavior changed)")
-        # Cross-kernel invariants on the fresh run.
-        if f["legacy"]["candidates"] != f["flat"]["candidates"]:
-            errors.append(f"{name}: candidate counts differ between kernels "
-                          f"({f['legacy']['candidates']} vs "
-                          f"{f['flat']['candidates']})")
-        if f["legacy"]["pairs"] != f["flat"]["pairs"]:
-            errors.append(f"{name}: emitted pair counts differ between "
-                          f"kernels ({f['legacy']['pairs']} vs "
-                          f"{f['flat']['pairs']})")
-        for kernel in ("legacy", "flat"):
-            fk = f[kernel]
-            if fk["candidates"] != (fk["position_rejects"] +
-                                    fk["signature_rejects"] + fk["verified"]):
-                errors.append(f"{name}/{kernel}: funnel does not balance: "
-                              f"candidates {fk['candidates']} != position "
-                              f"rejects {fk['position_rejects']} + signature "
-                              f"rejects {fk['signature_rejects']} + verified "
-                              f"{fk['verified']}")
-        # Perf ratio: tolerate noise, fail real regressions. Near-parity
-        # workloads (the shared exact verifier dominates, e.g. edit distance)
-        # carry no ratio signal — they are gated by the counters above only.
-        if g["speedup_flat_over_legacy"] < 1.5:
-            continue
-        floor = g["speedup_flat_over_legacy"] * (1.0 - args.tolerance)
-        got = f["speedup_flat_over_legacy"]
-        if got < floor:
-            errors.append(f"{name}: speedup regressed: fresh {got:.2f}x < "
-                          f"{floor:.2f}x (golden {g['speedup_flat_over_legacy']:.2f}x "
-                          f"- {args.tolerance:.0%})")
-
-    if HEADLINE in fresh:
-        got = fresh[HEADLINE]["speedup_flat_over_legacy"]
-        if got < args.min_headline_speedup:
-            errors.append(f"{HEADLINE}: headline speedup {got:.2f}x below the "
-                          f"{args.min_headline_speedup:.1f}x floor")
+        g, f = golden[name]["flat"], fresh[name]["flat"]
+        for counter in COUNTERS:
+            if g[counter] != f[counter]:
+                errors.append(f"{name}/{counter}: golden {g[counter]} "
+                              f"!= fresh {f[counter]} (deterministic counter "
+                              f"drifted — join behavior changed)")
+        if f["candidates"] != (f["position_rejects"] +
+                               f["signature_rejects"] + f["verified"]):
+            errors.append(f"{name}: funnel does not balance: candidates "
+                          f"{f['candidates']} != position rejects "
+                          f"{f['position_rejects']} + signature rejects "
+                          f"{f['signature_rejects']} + verified "
+                          f"{f['verified']}")
 
     if errors:
         for error in errors:
