@@ -45,10 +45,15 @@ class Rng {
     return Uniform() < p;
   }
 
-  // Normal sample with the given mean and standard deviation.
+  // Normal sample with the given mean and standard deviation (>= 0). Draws
+  // a standard normal and scales it, the arithmetic std::normal_distribution
+  // applies after its own draw, so for stddev > 0 the value is bit-identical
+  // to std::normal_distribution<double>(mean, stddev); stddev == 0, which
+  // that distribution's precondition excludes, returns `mean` and consumes
+  // the same engine draws.
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    std::normal_distribution<double> standard(0.0, 1.0);
+    return standard(engine_) * stddev + mean;
   }
 
   // Normal sample clamped into [lo, hi]; used for worker accuracies which the

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -132,6 +135,33 @@ TEST(RngTest, GaussianMoments) {
   double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 0.8, 0.005);
   EXPECT_NEAR(std::sqrt(var), 0.1, 0.01);
+}
+
+TEST(RngTest, GaussianZeroSpreadReturnsMeanAndAdvancesLikeNonZero) {
+  Rng zero(21);
+  Rng spread(21);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.Gaussian(0.7, 0.0), 0.7);
+    (void)spread.Gaussian(0.7, 0.1);
+    ASSERT_EQ(zero.SaveState(), spread.SaveState()) << "draw " << i;
+  }
+}
+
+TEST(RngTest, GaussianIsBitEqualToStdNormalDistribution) {
+  for (double stddev : {0.01, 0.1, 2.5}) {
+    Rng rng(33);
+    Rng reference(33);
+    for (int i = 0; i < 1000; ++i) {
+      // A fresh distribution per draw, as the cached value of a reused one
+      // would skip engine draws.
+      std::normal_distribution<double> dist(0.8, stddev);
+      const double want = dist(reference.engine());
+      const double got = rng.Gaussian(0.8, stddev);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "stddev " << stddev << " draw " << i << ": " << got << " vs "
+          << want;
+    }
+  }
 }
 
 TEST(RngTest, ZipfSkewsLow) {
