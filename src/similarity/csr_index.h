@@ -10,9 +10,8 @@
 // (key, posting) pairs twice in the same order; pass one sizes each posting
 // list, pass two appends postings in emission order. Postings for a key
 // therefore appear exactly in emission order — emitting right-hand records
-// in ascending j reproduces, list for list, the order the old
-// `unordered_map<Token, vector<j>>` index produced with push_back, which is
-// what keeps the probe output bit-identical to the legacy kernel.
+// in ascending j keeps every list in ascending j, which fixes the order the
+// probe first sees candidates, and with it the join's emission order.
 #ifndef CDB_SIMILARITY_CSR_INDEX_H_
 #define CDB_SIMILARITY_CSR_INDEX_H_
 
