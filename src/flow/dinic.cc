@@ -35,9 +35,9 @@ void MaxFlow::BuildIndex() {
     node_offsets_[v + 1] += node_offsets_[v];
   }
   csr_arcs_.resize(arcs_.size());
-  std::vector<uint32_t> cursor(node_offsets_.begin(), node_offsets_.end() - 1);
+  cursor_.assign(node_offsets_.begin(), node_offsets_.end() - 1);
   for (size_t id = 0; id < arcs_.size(); ++id) {
-    csr_arcs_[cursor[arcs_[id ^ 1].to]++] = static_cast<int32_t>(id);
+    csr_arcs_[cursor_[arcs_[id ^ 1].to]++] = static_cast<int32_t>(id);
   }
   indexed_ = true;
 }
@@ -98,19 +98,19 @@ int64_t MaxFlow::Compute(int s, int t) {
   return flow;
 }
 
-void MaxFlow::SourceSideInto(int s, std::vector<uint8_t>* reachable) const {
+void MaxFlow::SourceSideInto(int s, std::vector<uint8_t>* reachable) {
   CDB_DCHECK(indexed_);
   reachable->assign(num_nodes_, 0);
-  std::vector<int32_t> queue;
-  queue.push_back(s);
+  queue_.clear();
+  queue_.push_back(s);
   (*reachable)[s] = 1;
-  for (size_t headi = 0; headi < queue.size(); ++headi) {
-    int v = queue[headi];
+  for (size_t headi = 0; headi < queue_.size(); ++headi) {
+    int v = queue_[headi];
     for (uint32_t i = node_offsets_[v]; i < node_offsets_[v + 1]; ++i) {
       const Arc& arc = arcs_[csr_arcs_[i]];
       if (arc.capacity > 0 && !(*reachable)[arc.to]) {
         (*reachable)[arc.to] = 1;
-        queue.push_back(arc.to);
+        queue_.push_back(arc.to);
       }
     }
   }

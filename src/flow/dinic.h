@@ -5,11 +5,12 @@
 //
 // Arcs live in a flat array and per-node adjacency is a CSR index built
 // count-then-fill on first Compute(). The blocking-flow DFS walks each
-// node's arcs in reverse insertion order — the exact order the previous
-// head-inserted intrusive list produced — so augmenting paths, residual
-// capacities, and therefore the reported min cut are unchanged. Reset()
-// reuses every buffer's capacity, so a caller running many flows of similar
-// size (the per-sample selection loop) allocates only on the first.
+// node's arcs in reverse insertion order. Which maximum flow it finds does
+// not change the reported min cut: every maximum flow leaves the same nodes
+// reachable from s in the residual network (SourceSideInto). Reset() and
+// the CSR build, BFS and source-side passes reuse every buffer's capacity,
+// so a caller running many flows of similar size (the per-sample selection
+// loop) allocates only on the first.
 #ifndef CDB_FLOW_DINIC_H_
 #define CDB_FLOW_DINIC_H_
 
@@ -40,9 +41,10 @@ class MaxFlow {
   int64_t Compute(int s, int t);
 
   // After Compute: marks the nodes reachable from s in the residual network
-  // (the source side of a min cut) in a caller-reused buffer, resized to
-  // num_nodes with values 0/1.
-  void SourceSideInto(int s, std::vector<uint8_t>* reachable) const;
+  // in a caller-reused buffer, resized to num_nodes with values 0/1. The set
+  // is the source side of the minimum cut closest to s, the same for every
+  // maximum flow.
+  void SourceSideInto(int s, std::vector<uint8_t>* reachable);
 
   int arc_from(int id) const { return arcs_[id ^ 1].to; }
   int arc_to(int id) const { return arcs_[id].to; }
@@ -71,10 +73,11 @@ class MaxFlow {
   // them descending to match the legacy head-inserted list.
   std::vector<uint32_t> node_offsets_;
   std::vector<int32_t> csr_arcs_;
+  std::vector<uint32_t> cursor_;  // Per-node fill position during the build.
   std::vector<int32_t> level_;
   // Per-node DFS cursor: absolute index into csr_arcs_, walked downward.
   std::vector<int32_t> iter_;
-  std::vector<int32_t> queue_;
+  std::vector<int32_t> queue_;  // BFS queue of Bfs and SourceSideInto.
 };
 
 }  // namespace cdb
