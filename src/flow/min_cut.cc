@@ -13,12 +13,10 @@ MinCutCache BuildMinCutCache(const QueryGraph& graph,
                              const ChainPlan& plan) {
   MinCutCache cache;
   cache.m = plan.occ_rel.size();
-  cache.layer_sizes.reserve(cache.m);
   cache.layer_offsets.assign(1, 0);
   for (size_t i = 0; i < cache.m; ++i) {
     const int32_t size =
         static_cast<int32_t>(graph.relation_vertices(plan.occ_rel[i]).size());
-    cache.layer_sizes.push_back(size);
     cache.layer_offsets.push_back(cache.layer_offsets.back() + size);
   }
   if (cache.m < 2) return cache;
@@ -45,8 +43,8 @@ MinCutCache BuildMinCutCache(const QueryGraph& graph,
     }
     for (auto& [key, members] : by_pair) {
       if (members.size() != group.preds.size()) continue;
-      cache.pair_a_idx.push_back(key.first);
-      cache.pair_b_idx.push_back(key.second);
+      cache.pair_a_occ.push_back(cache.layer_offsets[i] + key.first);
+      cache.pair_b_occ.push_back(cache.layer_offsets[i + 1] + key.second);
       cache.member_edges.insert(cache.member_edges.end(), members.begin(),
                                 members.end());
       cache.member_offsets.push_back(
@@ -57,6 +55,35 @@ MinCutCache BuildMinCutCache(const QueryGraph& graph,
   return cache;
 }
 
+namespace {
+
+// Per-occurrence bits. The BLUE-chain DP sets the first two; an occurrence
+// with both lies on a complete all-BLUE chain.
+constexpr uint8_t kFromFirst = 1;  // BLUE path from layer 0.
+constexpr uint8_t kToLast = 2;     // BLUE path to layer m - 1.
+constexpr uint8_t kSource = 4;     // s feeds the outgoing side.
+constexpr uint8_t kSink = 8;       // The incoming side feeds t.
+// Reachability through free pairs (below). s reaches the outgoing side; the
+// incoming side reaches t. An occurrence off the chains is one node, so
+// either bit holds for both of its sides.
+constexpr uint8_t kReached = 16;
+constexpr uint8_t kCoReached = 32;
+
+bool OnChain(uint8_t f) {
+  return (f & (kFromFirst | kToLast)) == (kFromFirst | kToLast);
+}
+
+// Per-pair roles. A B pair lies on a complete all-BLUE chain and is not in
+// the network. A forced pair is RED from a source-attached occurrence to a
+// sink-attached one: an s-t path on its own. Free pairs are the rest; the
+// core ones lie on an s-t path of free pairs.
+constexpr uint8_t kFree = 0;
+constexpr uint8_t kB = 1;
+constexpr uint8_t kForced = 2;
+constexpr uint8_t kCore = 3;
+
+}  // namespace
+
 void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
                           const std::vector<EdgeColor>& colors,
                           FlowArena* arena, std::vector<EdgeId>* out) {
@@ -65,138 +92,163 @@ void ChainMinCutSelection(const QueryGraph& graph, const MinCutCache& cache,
   if (m < 2) return;
   const size_t num_pairs = cache.num_pairs();
   const size_t num_occ = static_cast<size_t>(cache.layer_offsets[m]);
+  const int32_t* pair_a = cache.pair_a_occ.data();
+  const int32_t* pair_b = cache.pair_b_occ.data();
+  const uint32_t* member_offsets = cache.member_offsets.data();
+  const EdgeId* member_edges = cache.member_edges.data();
 
-  // Per-pair color classification: the first RED member stands for the pair.
-  arena->pair_red.assign(num_pairs, 0);
-  arena->pair_red_member.assign(num_pairs, kNoEdge);
+  // The first RED member stands for the pair. The loops below are written
+  // without data-dependent branches: sampled colors are coin flips.
+  std::vector<EdgeId>& pair_red = arena->pair_red;
+  pair_red.resize(num_pairs);
+  std::vector<uint8_t>& flags = arena->occ_flags;
+  flags.assign(num_occ, 0);
+  std::fill(flags.begin(), flags.begin() + cache.layer_offsets[1], kFromFirst);
+  for (size_t o = static_cast<size_t>(cache.layer_offsets[m - 1]); o < num_occ;
+       ++o) {
+    flags[o] |= kToLast;
+  }
+  // BLUE-chain DP in layer order, forward while classifying, then backward.
   for (size_t pid = 0; pid < num_pairs; ++pid) {
-    for (uint32_t mi = cache.member_offsets[pid];
-         mi < cache.member_offsets[pid + 1]; ++mi) {
-      const EdgeId e = cache.member_edges[mi];
-      if (colors[e] == EdgeColor::kRed) {
-        arena->pair_red[pid] = 1;
-        arena->pair_red_member[pid] = e;
-        break;
-      }
+    EdgeId red = kNoEdge;
+    for (uint32_t mi = member_offsets[pid + 1]; mi-- > member_offsets[pid];) {
+      const EdgeId e = member_edges[mi];
+      red = colors[e] == EdgeColor::kRed ? e : red;
     }
+    pair_red[pid] = red;
+    flags[pair_b[pid]] |= red == kNoEdge ? flags[pair_a[pid]] & kFromFirst : 0;
+  }
+  for (size_t pid = num_pairs; pid-- > 0;) {
+    flags[pair_a[pid]] |=
+        pair_red[pid] == kNoEdge ? flags[pair_b[pid]] & kToLast : 0;
   }
 
-  // BLUE-chain DP over flat per-occurrence flags; occurrence (i, idx) lives
-  // at layer_offsets[i] + idx.
-  auto occ = [&](size_t i, int32_t idx) {
-    return static_cast<size_t>(cache.layer_offsets[i]) +
-           static_cast<size_t>(idx);
-  };
-  arena->forward.assign(num_occ, 0);
-  arena->backward.assign(num_occ, 0);
-  std::fill(arena->forward.begin(),
-            arena->forward.begin() + cache.layer_sizes[0], 1);
-  std::fill(arena->backward.begin() + cache.layer_offsets[m - 1],
-            arena->backward.begin() + cache.layer_offsets[m], 1);
-  for (size_t i = 0; i + 1 < m; ++i) {
-    for (uint32_t pid = cache.pair_offsets[i]; pid < cache.pair_offsets[i + 1];
-         ++pid) {
-      if (!arena->pair_red[pid] &&
-          arena->forward[occ(i, cache.pair_a_idx[pid])]) {
-        arena->forward[occ(i + 1, cache.pair_b_idx[pid])] = 1;
-      }
-    }
-  }
-  for (size_t i = m - 1; i-- > 0;) {
-    for (uint32_t pid = cache.pair_offsets[i]; pid < cache.pair_offsets[i + 1];
-         ++pid) {
-      if (!arena->pair_red[pid] &&
-          arena->backward[occ(i + 1, cache.pair_b_idx[pid])]) {
-        arena->backward[occ(i, cache.pair_a_idx[pid])] = 1;
-      }
-    }
-  }
-
-  // B-edges: members of blue pairs lying on a complete blue chain, emitted in
-  // pair order then member order.
-  arena->edge_taken.assign(static_cast<size_t>(graph.num_edges()), 0);
-  arena->pair_is_b.assign(num_pairs, 0);
-  for (size_t i = 0; i + 1 < m; ++i) {
-    for (uint32_t pid = cache.pair_offsets[i]; pid < cache.pair_offsets[i + 1];
-         ++pid) {
-      if (arena->pair_red[pid]) continue;
-      if (arena->forward[occ(i, cache.pair_a_idx[pid])] &&
-          arena->backward[occ(i + 1, cache.pair_b_idx[pid])]) {
-        arena->pair_is_b[pid] = 1;
-        for (uint32_t mi = cache.member_offsets[pid];
-             mi < cache.member_offsets[pid + 1]; ++mi) {
-          const EdgeId e = cache.member_edges[mi];
-          if (!arena->edge_taken[e]) {
-            arena->edge_taken[e] = 1;
-            out->push_back(e);
-          }
-        }
-      }
-    }
-  }
-
-  // Flow network, rebuilt with reset-not-rebuild scratch. Each occurrence
-  // vertex has a left node (incoming arcs) and a right node (outgoing arcs);
-  // they coincide unless the vertex is on a blue chain, in which case the
-  // copies are detached and wired to s / t so every red deviation from the
-  // blue chain forms an s-t path (Lemma 1). Node ids and arc insertion order
-  // fix Dinic's augmentation order, and with it which minimum cut is
-  // reported.
-  int64_t num_red = 0;
-  for (size_t pid = 0; pid < num_pairs; ++pid) {
-    num_red += arena->pair_red[pid] ? 1 : 0;
-  }
-  const int64_t kInf = num_red + 1;
-
-  MaxFlow& flow = arena->flow;
-  flow.Reset(0);
-  const int s = flow.AddNode();
-  const int t = flow.AddNode();
-  arena->left_node.resize(num_occ);
-  arena->right_node.resize(num_occ);
+  // The Lemma-1 network has a node per occurrence, split into an incoming
+  // and an outgoing node on a complete BLUE chain. s feeds the outgoing side
+  // of every source-attached occurrence (layer 0 or on a chain); the
+  // incoming side of every sink-attached one (layer m - 1 or on a chain)
+  // feeds t. Every pair off the chains is an arc, of capacity 1 if RED and
+  // infinite otherwise, so each RED deviation from a BLUE chain forms an
+  // s-t path (Lemma 1).
   for (size_t i = 0; i < m; ++i) {
-    for (int32_t idx = 0; idx < cache.layer_sizes[i]; ++idx) {
-      const size_t o = occ(i, idx);
-      bool on_blue_chain = arena->forward[o] && arena->backward[o];
-      int left = flow.AddNode();
-      int right = on_blue_chain ? flow.AddNode() : left;
-      arena->left_node[o] = left;
-      arena->right_node[o] = right;
-      if (on_blue_chain) {
-        flow.AddArc(s, right, kInf);
-        flow.AddArc(left, t, kInf);
-      }
-      if (i == 0) flow.AddArc(s, right, kInf);
-      if (i == m - 1) flow.AddArc(left, t, kInf);
+    const uint8_t source = i == 0 ? kSource | kReached : 0;
+    const uint8_t sink = i == m - 1 ? kSink | kCoReached : 0;
+    for (int32_t o = cache.layer_offsets[i]; o < cache.layer_offsets[i + 1];
+         ++o) {
+      const uint8_t chain =
+          OnChain(flags[o]) ? kSource | kReached | kSink | kCoReached : 0;
+      flags[o] |= source | sink | chain;
     }
   }
-  arena->red_arc_ids.clear();
-  arena->red_arc_pairs.clear();
-  for (size_t i = 0; i + 1 < m; ++i) {
-    for (uint32_t pid = cache.pair_offsets[i]; pid < cache.pair_offsets[i + 1];
-         ++pid) {
-      if (arena->pair_is_b[pid]) continue;  // Blue-chain edges are removed.
-      int from = arena->right_node[occ(i, cache.pair_a_idx[pid])];
-      int to = arena->left_node[occ(i + 1, cache.pair_b_idx[pid])];
-      int arc = flow.AddArc(from, to, arena->pair_red[pid] ? 1 : kInf);
-      if (arena->pair_red[pid]) {
-        arena->red_arc_ids.push_back(arc);
-        arena->red_arc_pairs.push_back(static_cast<int32_t>(pid));
+
+  // In layer order: find the B pairs and the forced pairs, and sweep
+  // reachability from s through the free pairs.
+  std::vector<uint8_t>& kind = arena->pair_kind;
+  kind.resize(num_pairs);
+  std::vector<int32_t>& listed = arena->listed_pairs;
+  listed.resize(num_pairs);
+  size_t num_b = 0;
+  for (size_t pid = 0; pid < num_pairs; ++pid) {
+    const uint8_t fa = flags[pair_a[pid]];
+    const uint8_t fb = flags[pair_b[pid]];
+    const bool red = pair_red[pid] != kNoEdge;
+    const bool is_b = !red && (fa & kFromFirst) && (fb & kToLast);
+    const bool forced = red && (fa & kSource) && (fb & kSink);
+    kind[pid] = is_b ? kB : forced ? kForced : kFree;
+    flags[pair_b[pid]] =
+        fb | (!is_b && !forced && (fa & kReached) ? kReached : 0);
+    listed[num_b] = static_cast<int32_t>(pid);
+    num_b += is_b;
+  }
+  // B-pair members, in pair order then member order.
+  std::vector<uint8_t>& taken = arena->edge_taken;
+  taken.assign(static_cast<size_t>(graph.num_edges()), 0);
+  for (size_t bi = 0; bi < num_b; ++bi) {
+    const int32_t pid = listed[bi];
+    for (uint32_t mi = member_offsets[pid]; mi < member_offsets[pid + 1];
+         ++mi) {
+      const EdgeId e = member_edges[mi];
+      if (!taken[e]) {
+        taken[e] = 1;
+        out->push_back(e);
       }
+    }
+  }
+
+  // Backward: sweep reachability to t through the free pairs. A free pair is
+  // in the core when s reaches its tail and its head reaches t; only core
+  // pairs can carry flow. Core and forced pairs are listed backward.
+  int64_t core_red = 0;
+  size_t num_listed = 0;
+  for (size_t pid = num_pairs; pid-- > 0;) {
+    const int32_t a = pair_a[pid];
+    const uint8_t k = kind[pid];
+    const bool live = k == kFree && (flags[pair_b[pid]] & kCoReached);
+    const uint8_t fa = flags[a] | (live ? kCoReached : 0);
+    flags[a] = fa;
+    const bool core = live && (fa & kReached);
+    kind[pid] = core ? kCore : k;
+    core_red += core && pair_red[pid] != kNoEdge;
+    listed[num_listed] = static_cast<int32_t>(pid);
+    num_listed += core || k == kForced;
+  }
+
+  // Max flow on the core network only. Every minimum cut holds the forced
+  // pairs, and no pair outside the core leaves the source side, so the cut
+  // is the forced pairs plus the core RED arcs leaving the residual source
+  // side, which every maximum flow of the core leaves the same.
+  const int64_t inf = core_red + 1;
+  MaxFlow& flow = arena->flow;
+  flow.Reset(2);
+  const int s = 0;
+  const int t = 1;
+  std::vector<int32_t>& node = arena->occ_node;
+  node.assign(num_occ, -1);
+  // The incoming node of occurrence o, created on first use; on a chain the
+  // outgoing node follows it.
+  auto node_of = [&](int32_t o) {
+    if (node[o] < 0) {
+      node[o] = flow.AddNode();
+      if (OnChain(flags[o])) {
+        flow.AddArc(s, flow.AddNode(), inf);
+        flow.AddArc(node[o], t, inf);
+      } else if (flags[o] & kSource) {
+        flow.AddArc(s, node[o], inf);
+      } else if (flags[o] & kSink) {
+        flow.AddArc(node[o], t, inf);
+      }
+    }
+    return node[o];
+  };
+  arena->red_pairs.clear();
+  arena->red_arcs.clear();
+  for (size_t li = num_listed; li-- > 0;) {
+    const int32_t pid = listed[li];
+    const bool red = pair_red[pid] != kNoEdge;
+    int arc = -1;
+    if (kind[pid] == kCore) {
+      const int32_t a = pair_a[pid];
+      const int from = node_of(a) + (OnChain(flags[a]) ? 1 : 0);
+      arc = flow.AddArc(from, node_of(pair_b[pid]), red ? 1 : inf);
+    }
+    if (red) {
+      arena->red_pairs.push_back(pid);
+      arena->red_arcs.push_back(arc);
     }
   }
 
   flow.Compute(s, t);
   flow.SourceSideInto(s, &arena->source_side);
-  for (size_t ri = 0; ri < arena->red_arc_ids.size(); ++ri) {
-    const int arc = arena->red_arc_ids[ri];
-    if (arena->source_side[flow.arc_from(arc)] &&
-        !arena->source_side[flow.arc_to(arc)]) {
-      const EdgeId e = arena->pair_red_member[arena->red_arc_pairs[ri]];
-      if (!arena->edge_taken[e]) {
-        arena->edge_taken[e] = 1;
-        out->push_back(e);
-      }
+  for (size_t ri = 0; ri < arena->red_pairs.size(); ++ri) {
+    const int arc = arena->red_arcs[ri];
+    if (arc >= 0 && !(arena->source_side[flow.arc_from(arc)] &&
+                      !arena->source_side[flow.arc_to(arc)])) {
+      continue;
+    }
+    const EdgeId e = pair_red[arena->red_pairs[ri]];
+    if (!taken[e]) {
+      taken[e] = 1;
+      out->push_back(e);
     }
   }
 }
