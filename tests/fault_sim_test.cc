@@ -16,6 +16,7 @@
 #include "crowd/platform.h"
 #include "datagen/mini_example.h"
 #include "exec/scheduler.h"
+#include "tests/test_util.h"
 
 namespace cdb {
 namespace {
@@ -163,6 +164,154 @@ TEST(FaultDstTest, MultiMarketConservesAcrossMarkets) {
     EXPECT_TRUE(late.late);
     EXPECT_GE(late.worker, 0);
   }
+}
+
+// --- Golden fault schedules. ---
+//
+// FNV-1a digests of whole fault schedules, recorded before FaultyRound kept
+// its lease bookkeeping incrementally and drew its faults from ShortStream.
+// Both rewrites must reproduce every draw, every policy pick and every dead
+// letter, so any change to a schedule fails here. Each case runs three
+// consecutive rounds on one platform (the virtual clock and the lease
+// sequence carry across rounds) and digests every on-time answer, every late
+// answer, every dead letter and the final stats dump.
+
+struct ScheduleCase {
+  FaultProfile fault;
+  int num_workers = 25;
+  int redundancy = 3;
+  int tasks_per_round = 15;
+  bool use_policy = true;
+};
+
+struct ScheduleRun {
+  uint64_t digest = 0;
+  PlatformStats stats;
+};
+
+// Takes every other entry of `available` from the back, so the picks change
+// whenever the order of `available` does.
+std::vector<size_t> EveryOtherFromBack(const SimulatedWorker&,
+                                       const std::vector<TaskId>& available,
+                                       int count) {
+  std::vector<size_t> picks;
+  for (size_t k = 0; 2 * k < available.size() &&
+                     picks.size() < static_cast<size_t>(count);
+       ++k) {
+    picks.push_back(available.size() - 1 - 2 * k);
+  }
+  return picks;
+}
+
+void DigestAnswers(const std::vector<Answer>& answers,
+                   testing_util::BitDigest* digest) {
+  digest->Add(static_cast<uint64_t>(answers.size()));
+  for (const Answer& a : answers) {
+    digest->Add(static_cast<int64_t>(a.task));
+    digest->Add(static_cast<int64_t>(a.worker));
+    digest->Add(static_cast<int64_t>(a.choice));
+    digest->Add(a.tick);
+    digest->Add(static_cast<uint64_t>(a.late));
+  }
+}
+
+ScheduleRun RunSchedule(const ScheduleCase& c, uint64_t seed) {
+  PlatformOptions options;
+  options.seed = seed;
+  options.num_workers = c.num_workers;
+  options.redundancy = c.redundancy;
+  options.fault = c.fault;
+  // Odd tasks are truly "no", so a worker's choice depends on its accuracy
+  // draw and on which task it was handed.
+  CrowdPlatform platform(options, [](const Task& task) {
+    TaskTruth truth;
+    truth.correct_choice = static_cast<int>(task.id % 2);
+    return truth;
+  });
+  const AssignmentPolicy policy = EveryOtherFromBack;
+  testing_util::BitDigest digest;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Task> tasks;
+    for (int i = 0; i < c.tasks_per_round; ++i) {
+      tasks.push_back(YesNoTask(100 * round + i));
+    }
+    Result<std::vector<Answer>> answers =
+        platform.ExecuteRound(tasks, c.use_policy ? &policy : nullptr);
+    EXPECT_TRUE(answers.ok()) << "seed " << seed << " round " << round << ": "
+                              << answers.status().message();
+    if (!answers.ok()) return {};
+    DigestAnswers(answers.value(), &digest);
+    DigestAnswers(platform.TakeLateAnswers(), &digest);
+    std::vector<TaskId> dead = platform.TakeDeadLetters();
+    digest.Add(static_cast<uint64_t>(dead.size()));
+    for (TaskId id : dead) digest.Add(static_cast<int64_t>(id));
+  }
+  digest.Add(PlatformStatsDump(platform.stats()));
+  return {digest.value(), platform.stats()};
+}
+
+// Runs seeds 1..5 of `c` against `golden` and returns the summed stats.
+PlatformStats ExpectSchedules(const ScheduleCase& c,
+                              const std::vector<uint64_t>& golden) {
+  PlatformStats total;
+  for (uint64_t seed = 1; seed <= golden.size(); ++seed) {
+    ScheduleRun run = RunSchedule(c, seed);
+    EXPECT_EQ(run.digest, golden[seed - 1])
+        << "seed " << seed << std::hex << ": digest 0x" << run.digest;
+    CheckConservation(run.stats);
+    total.late_answers += run.stats.late_answers;
+    total.dead_lettered += run.stats.dead_lettered;
+    total.no_shows += run.stats.no_shows;
+    total.abandons += run.stats.abandons;
+  }
+  return total;
+}
+
+TEST(FaultScheduleGoldenTest, HostileOrderSensitivePolicy) {
+  ScheduleCase c;
+  c.fault = HostileProfile();
+  PlatformStats total = ExpectSchedules(
+      c, {0x7f16f0fb574e21d8ULL, 0x87fea2a06cfd8205ULL, 0x4921981a93a36177ULL,
+          0xc1641c4664a29947ULL, 0x3a096800aeda6a2eULL});
+  EXPECT_GT(total.no_shows, 0);
+  EXPECT_GT(total.abandons, 0);
+}
+
+TEST(FaultScheduleGoldenTest, HostileRoundRobin) {
+  ScheduleCase c;
+  c.fault = HostileProfile();
+  c.use_policy = false;
+  ExpectSchedules(
+      c, {0xdd845f79cb108f72ULL, 0x14a09ca56f5fec63ULL, 0xde6bc9eb3c01b795ULL,
+          0x455709a6ef84826aULL, 0xb28e079c5816011bULL});
+}
+
+TEST(FaultScheduleGoldenTest, StragglersDeliverLate) {
+  ScheduleCase c;
+  c.fault.straggler_prob = 0.6;
+  c.fault.straggler_delay_ticks = 30;
+  c.fault.task_deadline_ticks = 4;
+  c.fault.abandon_prob = 0.1;
+  PlatformStats total = ExpectSchedules(
+      c, {0x5eb3b5ed00c168aaULL, 0x7d101ebb01588fe9ULL, 0xa327dcae39c07ad3ULL,
+          0x9c5c35e1fcee8ff6ULL, 0x168ffeae2a076036ULL});
+  EXPECT_GT(total.late_answers, 0);
+}
+
+TEST(FaultScheduleGoldenTest, StarvedTasksAreDeadLettered) {
+  // Four workers for redundancy 3 under heavy abandonment: a task runs out
+  // of fresh workers long before its 50-expiry cap, so every dead letter
+  // comes from the starvation check or the idle give-up.
+  ScheduleCase c;
+  c.fault.abandon_prob = 0.6;
+  c.fault.task_deadline_ticks = 2;
+  c.fault.max_task_expiries = 50;
+  c.num_workers = 4;
+  c.tasks_per_round = 6;
+  PlatformStats total = ExpectSchedules(
+      c, {0x599f552df75aaf8aULL, 0x02abe3dc4f872591ULL, 0xc32aa4bb166aededULL,
+          0x39d13dc5074e2ddcULL, 0xf81fdb57a35a6507ULL});
+  EXPECT_GT(total.dead_lettered, 0);
 }
 
 // --- Executor-level DST: whole queries through SimCrowd. ---
