@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "crowd/platform.h"
 
 namespace cdb {
 namespace {
@@ -194,6 +196,53 @@ TEST(RngTest, ShufflePreservesElements) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   for (int i = 0; i < 20; ++i) EXPECT_EQ(sorted[static_cast<size_t>(i)], i);
+}
+
+TEST(ShortStreamTest, RawOutputsEqualRngStreams) {
+  // 400 outputs cross the 156-output prefix into the engine fallback.
+  for (uint64_t seed : {uint64_t{0}, uint64_t{7}, kLeaseFaultSalt}) {
+    for (uint64_t stream : {uint64_t{0}, uint64_t{1}, uint64_t{99}}) {
+      Rng rng(seed, stream);
+      ShortStream fast(seed, stream);
+      for (int i = 0; i < 400; ++i) {
+        ASSERT_EQ(fast(), rng.engine()())
+            << "seed " << seed << " stream " << stream << " output " << i;
+      }
+    }
+  }
+}
+
+TEST(ShortStreamTest, DrawsEqualRngStreams) {
+  // Mixed Bernoulli and UniformInt draws, value for value. Most streams take
+  // 1-5 draws, as the fault layer's do; every seventh takes 400 so it
+  // crosses the 156-output prefix. Bernoulli(0) and Bernoulli(1) consume no
+  // output, and UniformInt may reject and draw again, so the two streams
+  // only stay aligned if every draw count matches too.
+  const double probs[] = {0.0, 0.05, 0.35, 0.65, 1.0};
+  int64_t draws_checked = 0;
+  for (uint64_t seed :
+       {uint64_t{0}, uint64_t{1}, uint64_t{42},
+        std::numeric_limits<uint64_t>::max(), kNoShowSalt, kLeaseFaultSalt}) {
+    for (uint64_t stream = 0; stream < 3000; ++stream) {
+      Rng rng(seed, stream);
+      ShortStream fast(seed, stream);
+      const uint64_t draws = stream % 7 == 0 ? 400 : 1 + stream % 5;
+      for (uint64_t d = 0; d < draws; ++d) {
+        const uint64_t kind = (stream + d) % 7;
+        if (kind < 5) {
+          ASSERT_EQ(fast.Bernoulli(probs[kind]), rng.Bernoulli(probs[kind]))
+              << "seed " << seed << " stream " << stream << " draw " << d;
+        } else {
+          const int64_t lo = kind == 5 ? 1 : 0;
+          const int64_t hi = kind == 5 ? 12 : int64_t{1} << 40;
+          ASSERT_EQ(fast.UniformInt(lo, hi), rng.UniformInt(lo, hi))
+              << "seed " << seed << " stream " << stream << " draw " << d;
+        }
+        ++draws_checked;
+      }
+    }
+  }
+  EXPECT_GT(draws_checked, 1000000);
 }
 
 TEST(StringUtilTest, ToLowerUpper) {
