@@ -228,6 +228,18 @@ TEST(PlatformTest, UnsatisfiableFaultProfileIsInvalidArgument) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(PlatformTest, CertainNoShowIsInvalidArgument) {
+  // Every arrival would take nothing, so the round could never end.
+  PlatformOptions options;
+  options.fault.no_show_prob = 1.0;
+  options.fault.task_deadline_ticks = 8;
+  CrowdPlatform platform(options, AlwaysYes());
+  Result<std::vector<Answer>> result = platform.ExecuteRound({YesNoTask(0)});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(platform.stats().tasks_published, 0);
+}
+
 TEST(PlatformTest, FaultFreeProfileMatchesCleanPath) {
   // fault.Active() == false must route through the legacy loop: identical
   // answers and stats to a platform that never heard of FaultProfile.
