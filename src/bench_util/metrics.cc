@@ -9,12 +9,25 @@
 namespace cdb {
 namespace {
 
-// Entity vector for the column a resolved predicate side references.
+// Entity vector for the column a resolved predicate side references, or null
+// when the dataset records no entities for it.
 const std::vector<int64_t>* ColumnEntities(const GeneratedDataset& dataset,
                                            const ResolvedQuery& query, int rel,
                                            size_t col) {
   const Table* table = query.tables[rel];
-  return &dataset.Entities(table->name(), table->schema().column(col).name);
+  auto it = dataset.entity_of.find(GeneratedDataset::ColumnKey(
+      table->name(), table->schema().column(col).name));
+  return it == dataset.entity_of.end() ? nullptr : &it->second;
+}
+
+// As above, but the column must have entities.
+const std::vector<int64_t>& RequireEntities(const GeneratedDataset& dataset,
+                                            const ResolvedQuery& query,
+                                            int rel, size_t col) {
+  const std::vector<int64_t>* entities =
+      ColumnEntities(dataset, query, rel, col);
+  CDB_CHECK_MSG(entities != nullptr, "unknown entity column");
+  return *entities;
 }
 
 }  // namespace
@@ -62,15 +75,15 @@ std::vector<QueryAnswer> TrueAnswers(const GeneratedDataset& dataset,
     for (size_t r = 0; r < n; ++r) rows[rel].push_back(static_cast<int64_t>(r));
   }
   for (const ResolvedSelection& sel : query.selections) {
-    const std::vector<int64_t>* entities =
-        ColumnEntities(dataset, query, sel.rel, sel.col);
+    const std::vector<int64_t>& entities =
+        RequireEntities(dataset, query, sel.rel, sel.col);
     const Table* table = query.tables[sel.rel];
     int64_t target =
         dataset.ConstantEntity(table->name(),
                                table->schema().column(sel.col).name, sel.value);
     std::vector<int64_t> filtered;
     for (int64_t r : rows[sel.rel]) {
-      if (target != kNoEntity && (*entities)[static_cast<size_t>(r)] == target) {
+      if (target != kNoEntity && entities[static_cast<size_t>(r)] == target) {
         filtered.push_back(r);
       }
     }
@@ -99,10 +112,26 @@ std::vector<QueryAnswer> TrueAnswers(const GeneratedDataset& dataset,
   }
   std::vector<int> position(num_tables, -1);
   for (size_t i = 0; i < order.size(); ++i) position[order[i]] = static_cast<int>(i);
-  std::vector<std::vector<const ResolvedJoin*>> joins_at(order.size());
+  // The joins checked at each depth, with the entity vectors of the side
+  // placed there (`mine`) and of the side placed earlier (`theirs`).
+  struct JoinCheck {
+    int other = 0;
+    const std::vector<int64_t>* mine = nullptr;
+    const std::vector<int64_t>* theirs = nullptr;
+  };
+  std::vector<std::vector<JoinCheck>> joins_at(order.size());
   for (const ResolvedJoin& join : query.joins) {
     int later = std::max(position[join.left_rel], position[join.right_rel]);
-    joins_at[static_cast<size_t>(later)].push_back(&join);
+    const int rel = order[static_cast<size_t>(later)];
+    const bool left_is_rel = join.left_rel == rel;
+    JoinCheck check;
+    check.other = left_is_rel ? join.right_rel : join.left_rel;
+    check.mine = &RequireEntities(dataset, query, rel,
+                                  left_is_rel ? join.left_col : join.right_col);
+    check.theirs =
+        &RequireEntities(dataset, query, check.other,
+                         left_is_rel ? join.right_col : join.left_col);
+    joins_at[static_cast<size_t>(later)].push_back(check);
   }
 
   // Backtracking with entity hash indexes per (relation, column).
@@ -118,16 +147,10 @@ std::vector<QueryAnswer> TrueAnswers(const GeneratedDataset& dataset,
     int rel = order[depth];
     for (int64_t r : rows[rel]) {
       bool ok = true;
-      for (const ResolvedJoin* join : joins_at[depth]) {
-        int other = join->left_rel == rel ? join->right_rel : join->left_rel;
-        size_t my_col = join->left_rel == rel ? join->left_col : join->right_col;
-        size_t other_col = join->left_rel == rel ? join->right_col : join->left_col;
-        const std::vector<int64_t>* my_ent =
-            ColumnEntities(dataset, query, rel, my_col);
-        const std::vector<int64_t>* other_ent =
-            ColumnEntities(dataset, query, other, other_col);
-        int64_t mine = (*my_ent)[static_cast<size_t>(r)];
-        int64_t theirs = (*other_ent)[static_cast<size_t>(assignment[other])];
+      for (const JoinCheck& join : joins_at[depth]) {
+        int64_t mine = (*join.mine)[static_cast<size_t>(r)];
+        int64_t theirs =
+            (*join.theirs)[static_cast<size_t>(assignment[join.other])];
         if (mine == kNoEntity || mine != theirs) {
           ok = false;
           break;
@@ -147,30 +170,45 @@ std::vector<QueryAnswer> TrueAnswers(const GeneratedDataset& dataset,
 
 EdgeTruthFn MakeEdgeTruth(const GeneratedDataset* dataset,
                           const ResolvedQuery* query) {
-  return [dataset, query](const QueryGraph& graph, EdgeId e) -> bool {
+  // Resolved here once rather than on every lease: per predicate, the entity
+  // vector of each side and a selection's constant entity. A side without
+  // entities stays null and aborts only if an edge of its predicate is asked.
+  struct PredicateTruth {
+    const std::vector<int64_t>* left = nullptr;
+    const std::vector<int64_t>* right = nullptr;  // Joins only.
+    int64_t constant = kNoEntity;                 // Selections only.
+  };
+  std::vector<PredicateTruth> preds;
+  for (const ResolvedJoin& join : query->joins) {
+    PredicateTruth pred;
+    pred.left = ColumnEntities(*dataset, *query, join.left_rel, join.left_col);
+    pred.right =
+        ColumnEntities(*dataset, *query, join.right_rel, join.right_col);
+    preds.push_back(pred);
+  }
+  for (const ResolvedSelection& sel : query->selections) {
+    const Table* table = query->tables[sel.rel];
+    PredicateTruth pred;
+    pred.left = ColumnEntities(*dataset, *query, sel.rel, sel.col);
+    pred.constant = dataset->ConstantEntity(
+        table->name(), table->schema().column(sel.col).name, sel.value);
+    preds.push_back(pred);
+  }
+  const size_t num_joins = query->joins.size();
+  return [preds = std::move(preds), num_joins](const QueryGraph& graph,
+                                               EdgeId e) -> bool {
     const GraphEdge& edge = graph.edge(e);
-    const int p = edge.pred;
-    if (p < static_cast<int>(query->joins.size())) {
-      const ResolvedJoin& join = query->joins[static_cast<size_t>(p)];
-      const Table* lt = query->tables[join.left_rel];
-      const Table* rt = query->tables[join.right_rel];
-      const std::vector<int64_t>& le = dataset->Entities(
-          lt->name(), lt->schema().column(join.left_col).name);
-      const std::vector<int64_t>& re = dataset->Entities(
-          rt->name(), rt->schema().column(join.right_col).name);
-      int64_t a = le[static_cast<size_t>(graph.vertex(edge.u).row)];
-      int64_t b = re[static_cast<size_t>(graph.vertex(edge.v).row)];
+    const size_t p = static_cast<size_t>(edge.pred);
+    const PredicateTruth& pred = preds[p];
+    const bool is_join = p < num_joins;
+    CDB_CHECK_MSG(pred.left != nullptr && (!is_join || pred.right != nullptr),
+                  "unknown entity column");
+    int64_t a = (*pred.left)[static_cast<size_t>(graph.vertex(edge.u).row)];
+    if (is_join) {
+      int64_t b = (*pred.right)[static_cast<size_t>(graph.vertex(edge.v).row)];
       return a != kNoEntity && a == b;
     }
-    const ResolvedSelection& sel =
-        query->selections[static_cast<size_t>(p) - query->joins.size()];
-    const Table* table = query->tables[sel.rel];
-    const std::vector<int64_t>& entities =
-        dataset->Entities(table->name(), table->schema().column(sel.col).name);
-    int64_t target = dataset->ConstantEntity(
-        table->name(), table->schema().column(sel.col).name, sel.value);
-    return target != kNoEntity &&
-           entities[static_cast<size_t>(graph.vertex(edge.u).row)] == target;
+    return pred.constant != kNoEntity && a == pred.constant;
   };
 }
 
