@@ -49,9 +49,10 @@ contracts:
 
   fault-rng-stream        Fault-injection decisions in the crowd simulator
                           (src/crowd/) must come from explicit split streams
-                          — Rng(seed ^ salt, counter) — never from the
-                          platform's shared sequential rng_ or from
-                          Rng::Fork(), whose draws depend on how much
+                          — Rng(seed ^ salt, counter), or ShortStream(seed
+                          ^ salt, counter), which gives the same draws —
+                          never from the platform's shared sequential rng_
+                          or from Rng::Fork(), whose draws depend on how much
                           randomness earlier code consumed. A fault schedule
                           on the shared stream stops being a pure function of
                           (seed, counter) and silently breaks the
@@ -499,10 +500,11 @@ FAULT_TOKEN_RE = re.compile(
 # The platform's shared sequential generator (member `rng_`).
 SHARED_RNG_RE = re.compile(r"(?<![\w.])rng_\s*\.")
 FORK_RE = re.compile(r"\.\s*Fork\s*\(")
-# Any Rng construction on the line: `Rng(...)` temporary or `Rng name(...)`
-# declaration. The argument text is scanned for a top-level comma — one
-# argument means no stream index was passed.
-RNG_CTOR_RE = re.compile(r"\bRng\s+(?:\w+\s*)?\(|\bRng\s*\(")
+# Any Rng or ShortStream construction on the line: `Rng(...)` temporary or
+# `Rng name(...)` declaration. The argument text is scanned for a top-level
+# comma — one argument means no stream index was passed.
+RNG_CTOR_RE = re.compile(
+    r"\b(?:Rng|ShortStream)\s+(?:\w+\s*)?\(|\b(?:Rng|ShortStream)\s*\(")
 
 
 def _single_arg_rng_ctor(code: str) -> bool:
@@ -538,7 +540,8 @@ def check_fault_rng_stream(path: str, text: str) -> List[Finding]:
                 path, lineno, "fault-rng-stream",
                 "Rng::Fork() in the crowd simulator; forked streams depend "
                 "on consumption order — split an explicit "
-                "Rng(seed ^ salt, counter) stream instead"))
+                "Rng(seed ^ salt, counter) or ShortStream(seed ^ salt, "
+                "counter) stream instead"))
             continue
         if not FAULT_TOKEN_RE.search(code):
             continue
@@ -547,12 +550,14 @@ def check_fault_rng_stream(path: str, text: str) -> List[Finding]:
                 path, lineno, "fault-rng-stream",
                 "fault decision drawn from the shared sequential rng_; the "
                 "fault schedule must be a pure function of (seed, counter) "
-                "— use a split Rng(seed ^ salt, counter) stream"))
+                "— use a split Rng(seed ^ salt, counter) or "
+                "ShortStream(seed ^ salt, counter) stream"))
         elif _single_arg_rng_ctor(code):
             findings.append(Finding(
                 path, lineno, "fault-rng-stream",
-                "single-argument Rng construction in fault logic; pass a "
-                "stream index (Rng(seed ^ salt, counter)) so the draw is "
+                "single-argument Rng or ShortStream construction in fault "
+                "logic; pass a stream index (Rng(seed ^ salt, counter) or "
+                "ShortStream(seed ^ salt, counter)) so the draw is "
                 "independent of every other consumer"))
     return findings
 
@@ -858,6 +863,13 @@ SELF_TEST_CASES = [
      "bool abandoned = Rng(options_.seed ^ kSalt, lease_seq_)"
      ".Bernoulli(fault.abandon_prob);\n",
      "fault-rng-stream", False),
+    ("two-argument ShortStream draw is fine", "src/crowd/platform.cc",
+     "if (ShortStream(options_.seed ^ kNoShowSalt, tick_)"
+     ".Bernoulli(fault.no_show_prob)) {\n}\n",
+     "fault-rng-stream", False),
+    ("single-arg ShortStream in fault logic", "src/crowd/platform.cc",
+     "ShortStream s(options_.seed); bool x = s.Bernoulli(fault.abandon_prob);\n",
+     "fault-rng-stream", True),
     ("named split-stream rng is fine", "src/crowd/platform.cc",
      "bool dup = fault_rng.Bernoulli(fault.duplicate_prob);\n",
      "fault-rng-stream", False),
