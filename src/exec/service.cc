@@ -9,7 +9,8 @@
 
 namespace cdb {
 
-CdbService::CdbService(const ServiceOptions& options) : options_(options) {
+CdbService::CdbService(const ServiceOptions& options)
+    : options_(options), join_cache_(options.metrics) {
   if (options_.metrics != nullptr) {
     MetricsRegistry& r = *options_.metrics;
     metrics_.submitted = &r.counter("service.submitted");
@@ -36,6 +37,14 @@ int64_t CdbService::QueryCost(const ExecutorOptions& options) const {
 }
 
 Result<int64_t> CdbService::Enqueue(PendingQuery pending) {
+  // A cap below 1 admits nothing: the query would wait forever (live cap)
+  // or every retry would be refused (queue cap).
+  if (options_.max_live_sessions < 1 || options_.max_pending < 1) {
+    return Status::InvalidArgument(
+        "service admission caps must be >= 1 (max_live_sessions=" +
+        std::to_string(options_.max_live_sessions) +
+        ", max_pending=" + std::to_string(options_.max_pending) + ")");
+  }
   const int64_t cost = QueryCost(pending.options);
   MutexLock lock(mutex_);
   if (static_cast<int>(pending_.size()) >= options_.max_pending) {
@@ -109,6 +118,11 @@ void CdbService::AdmitFromQueue() {
   // Session construction (graph options copy, platform wiring) happens
   // outside the lock so submitters are never stalled behind it.
   for (PendingQuery& p : admitted) {
+    // Every session shares the service's joins unless its caller wired a
+    // cache of its own (as StepBuildGraph routes sim_metrics).
+    if (p.options.graph.join_cache == nullptr) {
+      p.options.graph.join_cache = &join_cache_;
+    }
     auto session = std::make_unique<QuerySession>(p.query, p.options,
                                                  std::move(p.truth));
     if (p.restored) {

@@ -8,7 +8,9 @@
 // bounded queue pushing back when submitters outrun the stepper.
 //
 // Admission control (every rejection is a typed kResourceExhausted, never a
-// crash or a silent drop):
+// crash or a silent drop — except that a service whose max_live_sessions or
+// max_pending is below 1 could never admit anything, so it refuses every
+// submission with kInvalidArgument):
 //   - bounded submit queue: Submit() fails once max_pending entries wait;
 //   - per-tenant budget: each tenant owns a BudgetLedger over crowd tasks,
 //     and a query is admitted only if its declared cost fits (TrySpend —
@@ -19,6 +21,11 @@
 // Fairness: each wave steps live sessions in tenant round-robin order (one
 // session per tenant per turn), so a tenant with 1 query makes the same
 // per-wave progress as one with 900.
+//
+// Shared joins: the service owns one JoinCache (similarity/join_cache.h) and
+// wires it into every session it admits or restores, so each distinct crowd
+// join runs once per service instead of once per session. The cache lives
+// exactly as long as the service; a rebuilt service starts empty.
 //
 // Checkpointing: every checkpoint_interval waves the service snapshots all
 // live sessions (session.h Snapshot()) into an in-memory bundle; a crashed
@@ -48,6 +55,7 @@
 #include "common/status.h"
 #include "cost/ledger.h"
 #include "exec/session.h"
+#include "similarity/join_cache.h"
 
 namespace cdb {
 
@@ -65,8 +73,10 @@ struct ServiceOptions {
   // threads, 1 = serial). Per-session state is bit-identical at any setting.
   int num_threads = 1;
   // Observability sinks (borrowed, may be null). The service emits integer
-  // `service.*` counters only — wall-clock latency histograms live in
-  // bench/bench_service.cc so MetricsDump stays deterministic.
+  // `service.*` counters, plus the `simjoin.*` funnel of each join its
+  // shared cache runs (once per distinct join, not once per session) —
+  // wall-clock latency histograms live in bench/bench_service.cc so
+  // MetricsDump stays deterministic.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };
@@ -95,7 +105,8 @@ class CdbService {
 
   // Queues one query for execution under `tenant`'s budget. Thread-safe.
   // Returns the service-assigned session id, or kResourceExhausted when the
-  // queue is full / the tenant's budget cannot cover the query's cost.
+  // queue is full / the tenant's budget cannot cover the query's cost, or
+  // kInvalidArgument when an admission cap is below 1.
   // `query` must outlive the service (sessions borrow it).
   Result<int64_t> Submit(std::string_view tenant, const ResolvedQuery* query,
                          const ExecutorOptions& options, EdgeTruthFn truth)
@@ -167,6 +178,9 @@ class CdbService {
   void Bump(Counter* counter, int64_t delta = 1);
 
   const ServiceOptions options_;
+  // Crowd-join results shared by every session this service admits or
+  // restores (see file comment). Self-locking; counts into options_.metrics.
+  JoinCache join_cache_;
 
   mutable Mutex mutex_;
   std::deque<PendingQuery> pending_ CDB_GUARDED_BY(mutex_);

@@ -340,7 +340,9 @@ Status QuerySession::Restore(std::string_view blob) {
   // observation set below), no sim_metrics sink (the registry snapshot
   // already holds the build-time funnel counters — routing them again would
   // double-count), and no re-derived sampling order (restored verbatim, so
-  // selection_ms is not double-charged either).
+  // selection_ms is not double-charged either). When the options carry a
+  // join cache (CdbService wires its own), the rebuild's crowd joins are
+  // served from it; a join the cache runs counts in the cache's registry.
   bool graph_built = false;
   CDB_RETURN_IF_ERROR(reader.GetBool(&graph_built));
   if (graph_built) {

@@ -1,10 +1,12 @@
 #include "graph/query_graph.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "similarity/join_cache.h"
 #include "similarity/sim_join.h"
 
 namespace cdb {
@@ -223,12 +225,19 @@ Result<QueryGraph> QueryGraph::Build(const ResolvedQuery& query,
         std::vector<std::string> right_vals,
         right->StringColumn(right->schema().column(join.right_col).name));
     if (join.is_crowd) {
-      SimJoinOptions join_options;
-      join_options.num_threads = options.num_threads;
-      join_options.metrics = options.sim_metrics;
-      std::vector<SimPair> pairs = SimilarityJoin(
-          left_vals, right_vals, options.sim_fn, options.epsilon, join_options);
-      for (const SimPair& pair : pairs) {
+      std::shared_ptr<const std::vector<SimPair>> pairs;
+      if (options.join_cache != nullptr) {
+        pairs = options.join_cache->Join(left_vals, right_vals, options.sim_fn,
+                                         options.epsilon, options.num_threads);
+      } else {
+        SimJoinOptions join_options;
+        join_options.num_threads = options.num_threads;
+        join_options.metrics = options.sim_metrics;
+        pairs = std::make_shared<const std::vector<SimPair>>(
+            SimilarityJoin(left_vals, right_vals, options.sim_fn,
+                           options.epsilon, join_options));
+      }
+      for (const SimPair& pair : *pairs) {
         VertexId u = graph.InternVertex(join.left_rel, pair.left);
         VertexId v = graph.InternVertex(join.right_rel, pair.right);
         graph.AddEdge(u, v, static_cast<int>(j), pair.sim, /*is_crowd=*/true,

@@ -30,6 +30,8 @@
 
 namespace cdb {
 
+class JoinCache;
+
 enum class EdgeColor : uint8_t {
   kUnknown,  // Not yet asked.
   kBlue,     // Values satisfy the predicate (solid edge in the paper).
@@ -75,6 +77,11 @@ struct GraphOptions {
   int num_threads = 0;
   // Optional sink for the simjoin.* funnel counters (borrowed, may be null).
   MetricsRegistry* sim_metrics = nullptr;
+  // Optional shared join results (borrowed, may be null = join afresh). When
+  // set, crowd joins come from the cache, which counts the funnel of the
+  // joins it runs into its own registry; sim_metrics then sees no crowd
+  // join. Edges are identical either way.
+  JoinCache* join_cache = nullptr;
 };
 
 // Non-owning view over the edge ids of one incidence slot (or a

@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util/metrics.h"
@@ -390,6 +391,92 @@ TEST_F(ServiceTest, ServiceCheckpointRebuildFinishesByteIdentically) {
               StatsSignature(resumed.value().stats))
         << "seed=" << seed;
     EXPECT_EQ(expected.answers, resumed.value().answers);
+  }
+}
+
+// Sessions in one service share each distinct crowd join: the registry
+// counts the simjoin.* funnel once per distinct ε, not once per session, and
+// every session still finishes exactly as it would standalone.
+TEST_F(ServiceTest, ServiceSharesJoinsAcrossSessions) {
+  constexpr double kOtherEpsilon = 0.5;
+  auto options_for = [](int i) {
+    ExecutorOptions options = CleanCrowd(700 + i, 1);
+    if (i >= 12) options.graph.epsilon = kOtherEpsilon;
+    return options;
+  };
+  // One standalone build per distinct ε.
+  MetricsRegistry want;
+  for (double epsilon : {GraphOptions{}.epsilon, kOtherEpsilon}) {
+    GraphOptions graph_options;
+    graph_options.epsilon = epsilon;
+    graph_options.sim_metrics = &want;
+    ASSERT_TRUE(QueryGraph::Build(query_, graph_options).ok());
+  }
+  ASSERT_GT(want.counter("simjoin.pairs").Value(), 0);
+
+  for (int threads : {1, 8}) {
+    MetricsRegistry registry;
+    ServiceOptions service_options;
+    service_options.num_threads = threads;
+    service_options.metrics = &registry;
+    CdbService service(service_options);
+    std::map<int64_t, int> index_of;
+    for (int i = 0; i < 15; ++i) {
+      ExecutorOptions options = options_for(i);
+      // Sessions report into the same registry, as in a deployment; a build
+      // served by the cache adds nothing to its own sink.
+      options.metrics = &registry;
+      Result<int64_t> id = service.Submit(i % 2 == 0 ? "alice" : "bob",
+                                          &query_, options, truth_);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      index_of[id.value()] = i;
+    }
+    service.RunUntilDrained();
+    EXPECT_EQ(service.stats().completed, 15);
+    for (const auto& [id, i] : index_of) {
+      Result<ExecutionResult> from_service = service.TakeResult(id);
+      ASSERT_TRUE(from_service.ok()) << from_service.status().ToString();
+      QuerySession standalone(&query_, options_for(i), truth_);
+      ExecutionResult expected = standalone.RunToCompletion().value();
+      EXPECT_EQ(StatsSignature(expected.stats),
+                StatsSignature(from_service.value().stats))
+          << "session " << i << " threads=" << threads;
+      EXPECT_EQ(expected.answers, from_service.value().answers)
+          << "session " << i << " threads=" << threads;
+    }
+    for (const char* name :
+         {"simjoin.candidates", "simjoin.position_rejects",
+          "simjoin.signature_rejects", "simjoin.verified", "simjoin.pairs"}) {
+      EXPECT_EQ(registry.counter(name).Value(), want.counter(name).Value())
+          << name << " threads=" << threads;
+    }
+  }
+}
+
+// A cap below 1 could never admit anything: Submit refuses up front instead
+// of queueing a query that RunUntilDrained() would wait on forever.
+TEST_F(ServiceTest, UnusableCapsAreInvalidArgument) {
+  for (const auto& [live, pending] :
+       {std::pair{0, 256}, std::pair{1024, 0}, std::pair{-1, -1}}) {
+    ServiceOptions service_options;
+    service_options.max_live_sessions = live;
+    service_options.max_pending = pending;
+    CdbService service(service_options);
+    Result<int64_t> fresh =
+        service.Submit("alice", &query_, CleanCrowd(800, 1), truth_);
+    EXPECT_EQ(fresh.status().code(), StatusCode::kInvalidArgument)
+        << "live=" << live << " pending=" << pending;
+    QuerySession donor(&query_, CleanCrowd(801, 1), truth_);
+    ASSERT_TRUE(donor.Step().ok());
+    Result<int64_t> restored = service.SubmitRestored(
+        "alice", &query_, CleanCrowd(801, 1), truth_, donor.Snapshot());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << "live=" << live << " pending=" << pending;
+    EXPECT_FALSE(service.HasWork());
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, 0);
+    EXPECT_EQ(stats.rejected_queue, 0);
+    EXPECT_EQ(stats.rejected_budget, 0);
   }
 }
 

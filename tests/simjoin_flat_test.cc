@@ -13,16 +13,21 @@
 //   * CSR / arena building blocks preserve emission order, and integer
 //     2-gram keys sort exactly as the gram strings do,
 //   * the funnel counters obey
-//     candidates == position_rejects + signature_rejects + verified.
+//     candidates == position_rejects + signature_rejects + verified,
+//   * JoinCache returns SimilarityJoin's exact pairs, keyed by the full
+//     content of its inputs, and runs each distinct join once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -32,6 +37,7 @@
 #include "datagen/perturb.h"
 #include "datagen/string_corpus.h"
 #include "similarity/csr_index.h"
+#include "similarity/join_cache.h"
 #include "similarity/signature.h"
 #include "similarity/sim_join.h"
 #include "similarity/tokenizer.h"
@@ -607,6 +613,140 @@ TEST(SimJoinFunnelTest, SignatureFilterOnlySkipsVerification) {
                        corpus.right.size(), 0.8),
         SimilarityFunctionName(fn));
   }
+}
+
+// --- JoinCache ----------------------------------------------------------------
+
+// Emission order, endpoints and sim bits all equal: EdgeIds follow the order.
+void ExpectSamePairs(const std::vector<SimPair>& got,
+                     const std::vector<SimPair>& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].left, want[k].left) << context << " pair " << k;
+    ASSERT_EQ(got[k].right, want[k].right) << context << " pair " << k;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[k].sim),
+              std::bit_cast<uint64_t>(want[k].sim))
+        << context << " pair " << k;
+  }
+}
+
+// One SimilarityJoin's pairs and funnel dump.
+struct DirectJoin {
+  std::vector<SimPair> pairs;
+  std::string funnel;
+};
+
+DirectJoin RunDirect(const std::vector<std::string>& left,
+                     const std::vector<std::string>& right,
+                     SimilarityFunction fn, double threshold, int threads) {
+  MetricsRegistry metrics;
+  SimJoinOptions options;
+  options.num_threads = threads;
+  options.metrics = &metrics;
+  DirectJoin direct;
+  direct.pairs = SimilarityJoin(left, right, fn, threshold, options);
+  direct.funnel = MetricsDump(metrics);
+  return direct;
+}
+
+// The first request runs the join and counts exactly one join's funnel; a
+// repeat returns the same pointer and counts nothing. The direct join runs
+// serially: its pairs and funnel are identical at every thread count.
+TEST(JoinCacheTest, PairsAndFunnelEqualSimilarityJoin) {
+  const StringCorpus corpus = SmallCorpus();
+  const std::pair<const std::vector<std::string>*,
+                  const std::vector<std::string>*>
+      corpora[] = {{&corpus.left, &corpus.right}, {&CornerLeft(), &CornerRight()}};
+  for (const auto& [left, right] : corpora) {
+    for (SimilarityFunction fn : kJoinFunctions) {
+      for (double t : {0.1, 0.3, 0.5, 0.8, 1.0}) {
+        const DirectJoin want = RunDirect(*left, *right, fn, t, 1);
+        for (int threads : {1, 8}) {
+          const std::string context = Context(fn, t, threads) + " left size " +
+                                      std::to_string(left->size());
+          MetricsRegistry metrics;
+          JoinCache cache(&metrics);
+          auto first = cache.Join(*left, *right, fn, t, threads);
+          ExpectSamePairs(*first, want.pairs, context);
+          EXPECT_EQ(MetricsDump(metrics), want.funnel) << context;
+          auto again = cache.Join(*left, *right, fn, t, threads);
+          EXPECT_EQ(again, first) << context;
+          EXPECT_EQ(MetricsDump(metrics), want.funnel) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinCacheTest, FunctionAndThresholdAreInTheKey) {
+  const StringCorpus corpus = SmallCorpus();
+  JoinCache cache;
+  const auto base = cache.Join(corpus.left, corpus.right,
+                               SimilarityFunction::kQGramJaccard, 0.5, 1);
+  const auto other_fn = cache.Join(corpus.left, corpus.right,
+                                   SimilarityFunction::kWordJaccard, 0.5, 1);
+  const auto other_t = cache.Join(corpus.left, corpus.right,
+                                  SimilarityFunction::kQGramJaccard, 0.3, 1);
+  EXPECT_NE(other_fn, base);
+  EXPECT_NE(other_t, base);
+  ExpectSamePairs(*other_fn,
+                  RunDirect(corpus.left, corpus.right,
+                            SimilarityFunction::kWordJaccard, 0.5, 1)
+                      .pairs,
+                  "word jaccard t=0.5");
+  ExpectSamePairs(*other_t,
+                  RunDirect(corpus.left, corpus.right,
+                            SimilarityFunction::kQGramJaccard, 0.3, 1)
+                      .pairs,
+                  "qgram jaccard t=0.3");
+  EXPECT_EQ(cache.Join(corpus.left, corpus.right,
+                       SimilarityFunction::kQGramJaccard, 0.5, 8),
+            base);
+}
+
+// A column whose size is unchanged but one cell differs (as after SetCell)
+// is another join.
+TEST(JoinCacheTest, ChangedCellIsAMiss) {
+  const StringCorpus corpus = SmallCorpus();
+  JoinCache cache;
+  const SimilarityFunction fn = SimilarityFunction::kQGramJaccard;
+  const auto before = cache.Join(corpus.left, corpus.right, fn, 0.3, 1);
+  std::vector<std::string> edited = corpus.left;
+  edited[0] = corpus.right[1];
+  const auto after = cache.Join(edited, corpus.right, fn, 0.3, 1);
+  EXPECT_NE(after, before);
+  const std::vector<SimPair> want =
+      RunDirect(edited, corpus.right, fn, 0.3, 1).pairs;
+  EXPECT_NE(PairsDigest(want), PairsDigest(*before));
+  ExpectSamePairs(*after, want, "edited left column");
+}
+
+// Concurrent requests for one key wait for one computation.
+TEST(JoinCacheTest, ConcurrentRequestsRunTheJoinOnce) {
+  const StringCorpus corpus = SmallCorpus();
+  const SimilarityFunction fn = SimilarityFunction::kWordJaccard;
+  const DirectJoin want = RunDirect(corpus.left, corpus.right, fn, 0.3, 8);
+  MetricsRegistry metrics;
+  JoinCache cache(&metrics);
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const std::vector<SimPair>>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<size_t>(t)] =
+          cache.Join(corpus.left, corpus.right, fn, 0.3, 8);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(MetricsDump(metrics), want.funnel);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<size_t>(t)], got[0]) << "thread " << t;
+  }
+  ExpectSamePairs(*got[0], want.pairs, "concurrent");
 }
 
 }  // namespace
