@@ -53,7 +53,7 @@ struct RunConfig {
   int num_threads = 0;
   // Observability sinks (borrowed, may be null = disabled); wired into the
   // executor (CDB family) or the baseline's platform so every repetition
-  // mirrors into the same registry/tracer.
+  // publishes into the same registry/tracer.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };

@@ -21,9 +21,14 @@
 // counts and reruns. MetricsDumpJson() is the same data as a sorted JSON
 // object for --metrics-out sinks.
 //
-// Instrumented code holds a nullable `MetricsRegistry*` and caches
-// `Counter*` handles once (registration takes a mutex; Increment() does not),
-// so a disabled registry costs one null check per event.
+// One source per count: the stats structs the layers return and snapshot
+// (PlatformStats, ExecutionStats, MultiQueryStats, ServiceStats) are the only
+// thing instrumented code writes. A StatsMirror, driven by one field table
+// per struct, publishes the struct's growth into the registry when control
+// leaves the layer, so the registry is a view of the structs and cannot
+// drift from them. Counters with no struct field (retry waves, EM runs, the
+// sim-join funnel) cache `Counter*` handles once (registration takes a
+// mutex; Increment() does not) and are written where they happen.
 #ifndef CDB_COMMON_METRICS_H_
 #define CDB_COMMON_METRICS_H_
 
@@ -32,8 +37,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -157,6 +164,59 @@ class MetricsRegistry {
 
 // Free-function spelling used by the determinism tests.
 [[nodiscard]] std::string MetricsDump(const MetricsRegistry& registry);
+
+// One row of a stats struct's registry table: the counter's name (after the
+// mirror's prefix) and the int64_t field it publishes.
+template <typename S>
+struct StatField {
+  const char* name;
+  int64_t S::*field;
+};
+
+// Publishes a stats struct into a registry, one counter per table row.
+// Publish() adds each field's growth since the last Publish() or Rebase() to
+// its counter, so a registry shared by many structs holds their sum, and a
+// struct written many times per call costs one add per field per call.
+// Rebase() follows a snapshot restore of the struct: the registry's owner
+// restores the registry itself, so what the restored struct already holds is
+// not published again. With a null registry both calls do nothing.
+//
+// Not thread-safe: a mirror is driven by its struct's one writer.
+template <typename S>
+class StatsMirror {
+ public:
+  StatsMirror() = default;
+  StatsMirror(MetricsRegistry* registry, std::string_view prefix,
+              std::span<const StatField<S>> table) {
+    if (registry == nullptr) return;
+    rows_.reserve(table.size());
+    for (const StatField<S>& row : table) {
+      rows_.push_back(
+          Row{row.field, &registry->counter(std::string(prefix) + row.name)});
+    }
+  }
+
+  void Publish(const S& stats) {
+    for (Row& row : rows_) {
+      const int64_t value = stats.*row.field;
+      if (value == row.published) continue;
+      row.counter->Increment(value - row.published);
+      row.published = value;
+    }
+  }
+
+  void Rebase(const S& stats) {
+    for (Row& row : rows_) row.published = stats.*row.field;
+  }
+
+ private:
+  struct Row {
+    int64_t S::*field;
+    Counter* counter;
+    int64_t published = 0;
+  };
+  std::vector<Row> rows_;
+};
 
 }  // namespace cdb
 

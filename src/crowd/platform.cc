@@ -13,11 +13,6 @@
 namespace cdb {
 namespace {
 
-// Registry mirror helper: null counter (metrics disabled) = no-op.
-inline void Bump(Counter* counter, int64_t delta = 1) {
-  if (counter != nullptr) counter->Increment(delta);
-}
-
 constexpr int64_t kNeverTick = std::numeric_limits<int64_t>::max();
 
 }  // namespace
@@ -34,54 +29,29 @@ std::string PlatformStatsDump(const PlatformStats& stats) {
                 static_cast<long long>(stats.micro_dollars_spent / 1000000),
                 static_cast<long long>(stats.micro_dollars_spent % 1000000));
   std::string out;
-  auto line = [&out](const char* key, int64_t value) {
-    out += key;
-    out += '=';
-    out += std::to_string(value);
+  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
+    if (row.field == &PlatformStats::micro_dollars_spent) {
+      out += "dollars_spent=";
+      out += dollars;
+    } else {
+      out += row.name;
+      out += '=';
+      out += std::to_string(stats.*row.field);
+    }
     out += '\n';
-  };
-  line("tasks_published", stats.tasks_published);
-  line("answers_collected", stats.answers_collected);
-  line("hits_published", stats.hits_published);
-  line("shared_hits", stats.shared_hits);
-  out += "dollars_spent=";
-  out += dollars;
-  out += '\n';
-  line("ticks", stats.ticks);
-  line("leases_granted", stats.leases_granted);
-  line("no_shows", stats.no_shows);
-  line("abandons", stats.abandons);
-  line("expiries", stats.expiries);
-  line("reposts", stats.reposts);
-  line("dead_lettered", stats.dead_lettered);
-  line("late_answers", stats.late_answers);
-  line("duplicates", stats.duplicates);
+  }
   return out;
 }
 
 CrowdPlatform::CrowdPlatform(const PlatformOptions& options, TruthProvider truth)
-    : options_(options), truth_(std::move(truth)), rng_(options.seed) {
+    : options_(options),
+      truth_(std::move(truth)),
+      rng_(options.seed),
+      mirror_(options.metrics, "crowd.", kPlatformStatFields) {
   CDB_CHECK(options_.num_workers > 0);
   CDB_CHECK(options_.redundancy > 0);
   workers_ = MakeWorkerPool(options_.num_workers, options_.worker_quality_mean,
                             options_.worker_quality_stddev, rng_);
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& reg = *options_.metrics;
-    mirror_.tasks_published = &reg.counter("crowd.tasks_published");
-    mirror_.answers_collected = &reg.counter("crowd.answers_collected");
-    mirror_.hits_published = &reg.counter("crowd.hits_published");
-    mirror_.shared_hits = &reg.counter("crowd.shared_hits");
-    mirror_.micro_dollars_spent = &reg.counter("crowd.micro_dollars_spent");
-    mirror_.ticks = &reg.counter("crowd.ticks");
-    mirror_.leases_granted = &reg.counter("crowd.leases_granted");
-    mirror_.no_shows = &reg.counter("crowd.no_shows");
-    mirror_.abandons = &reg.counter("crowd.abandons");
-    mirror_.expiries = &reg.counter("crowd.expiries");
-    mirror_.reposts = &reg.counter("crowd.reposts");
-    mirror_.dead_lettered = &reg.counter("crowd.dead_lettered");
-    mirror_.late_answers = &reg.counter("crowd.late_answers");
-    mirror_.duplicates = &reg.counter("crowd.duplicates");
-  }
 }
 
 int CrowdPlatform::EffectiveRedundancy(const Task& task) const {
@@ -93,14 +63,11 @@ int CrowdPlatform::EffectiveRedundancy(const Task& task) const {
 void CrowdPlatform::ChargeForTasks(const std::vector<Task>& tasks) {
   const int64_t num_tasks = static_cast<int64_t>(tasks.size());
   stats_.tasks_published += num_tasks;
-  Bump(mirror_.tasks_published, num_tasks);
   int64_t hits =
       (num_tasks + options_.tasks_per_hit - 1) / options_.tasks_per_hit;
   stats_.hits_published += hits;
-  Bump(mirror_.hits_published, hits);
   const int64_t charge = hits * MicroDollars(options_.price_per_hit);
   stats_.micro_dollars_spent += charge;
-  Bump(mirror_.micro_dollars_spent, charge);
   // HITs are packed in publish order, tasks_per_hit at a time; a HIT mixing
   // batch tags is a shared (multi-query) HIT.
   for (size_t start = 0; start < tasks.size();
@@ -118,10 +85,7 @@ void CrowdPlatform::ChargeForTasks(const std::vector<Task>& tasks) {
         break;
       }
     }
-    if (mixed) {
-      ++stats_.shared_hits;
-      Bump(mirror_.shared_hits);
-    }
+    if (mixed) ++stats_.shared_hits;
   }
 }
 
@@ -152,6 +116,7 @@ Result<std::vector<Answer>> CrowdPlatform::ExecuteRound(
   WallTimer wall;
   auto result = fault.Active() ? FaultyRound(tasks, policy, observer)
                                : CleanRound(tasks, policy, observer);
+  mirror_.Publish(stats_);
   if (options_.tracer != nullptr) {
     options_.tracer->AddSpan("crowd.round", options_.market_name, tick_begin,
                              tick_, wall.ElapsedMicros());
@@ -226,7 +191,6 @@ Result<std::vector<Answer>> CrowdPlatform::CleanRound(
       --need[ti];
       --remaining;
       ++stats_.answers_collected;
-      Bump(mirror_.answers_collected);
       progressed = true;
       if (observer != nullptr) (*observer)(answer);
       answers.push_back(std::move(answer));
@@ -325,7 +289,6 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     state[ti].dead = true;
     dead_letter_.push_back(tasks[ti].id);
     ++stats_.dead_lettered;
-    Bump(mirror_.dead_lettered);
     --unresolved;
   };
   auto deliver = [&](Lease& lease, bool on_time) {
@@ -336,16 +299,13 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
       --state[lease.ti].need;
       ++delivered_per_task_[answer.task];
       ++stats_.answers_collected;
-      Bump(mirror_.answers_collected);
       if (observer != nullptr) (*observer)(answer);
       answers.push_back(answer);
       if (lease.duplicate) {
         // Platform glitch: the same assignment is delivered twice; the
         // requester must de-duplicate by (task, worker).
         ++stats_.duplicates;
-        Bump(mirror_.duplicates);
         ++stats_.answers_collected;
-        Bump(mirror_.answers_collected);
         if (observer != nullptr) (*observer)(answer);
         answers.push_back(answer);
       }
@@ -353,7 +313,6 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     } else {
       answer.late = true;
       ++stats_.late_answers;
-      Bump(mirror_.late_answers);
       late_answers_.push_back(std::move(answer));
     }
   };
@@ -361,7 +320,6 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
   while (unresolved > 0 || !deliveries.empty()) {
     ++tick_;
     ++stats_.ticks;
-    Bump(mirror_.ticks);
 
     // 1. Expire leases whose deadline has passed without delivery. The slot
     // returns to the pool (a platform-side repost) until the task hits the
@@ -375,17 +333,12 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
       --ts.outstanding;
       ++ts.expiries;
       ++stats_.expiries;
-      Bump(mirror_.expiries);
-      if (lease.deliver_tick == kNeverTick) {
-        ++stats_.abandons;
-        Bump(mirror_.abandons);
-      }
+      if (lease.deliver_tick == kNeverTick) ++stats_.abandons;
       if (!ts.dead && ts.need > 0) {
         if (ts.expiries > fault.max_task_expiries) {
           dead_letter_task(lease.ti);
         } else {
           ++stats_.reposts;
-          Bump(mirror_.reposts);
         }
       }
     }
@@ -425,7 +378,6 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     if (ShortStream(options_.seed ^ kNoShowSalt, static_cast<uint64_t>(tick_))
             .Bernoulli(fault.no_show_prob)) {
       ++stats_.no_shows;
-      Bump(mirror_.no_shows);
       ++idle_arrivals;
       continue;
     }
@@ -484,7 +436,6 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
             std::lower_bound(exhausted.begin(), exhausted.end(), ti), ti);
       }
       ++stats_.leases_granted;
-      Bump(mirror_.leases_granted);
       ++lease_seq_;
       granted = true;
 
@@ -548,9 +499,7 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     lease.expired = true;
     --state[lease.ti].outstanding;
     ++stats_.expiries;
-    Bump(mirror_.expiries);
     ++stats_.abandons;
-    Bump(mirror_.abandons);
   }
   return answers;
 }
@@ -589,37 +538,15 @@ Status GetAnswer(ByteReader& reader, Answer* answer) {
 }  // namespace
 
 void SnapshotPlatformStats(ByteWriter& writer, const PlatformStats& stats) {
-  writer.PutI64(stats.tasks_published);
-  writer.PutI64(stats.answers_collected);
-  writer.PutI64(stats.hits_published);
-  writer.PutI64(stats.shared_hits);
-  writer.PutI64(stats.micro_dollars_spent);
-  writer.PutI64(stats.ticks);
-  writer.PutI64(stats.leases_granted);
-  writer.PutI64(stats.no_shows);
-  writer.PutI64(stats.abandons);
-  writer.PutI64(stats.expiries);
-  writer.PutI64(stats.reposts);
-  writer.PutI64(stats.dead_lettered);
-  writer.PutI64(stats.late_answers);
-  writer.PutI64(stats.duplicates);
+  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
+    writer.PutI64(stats.*row.field);
+  }
 }
 
 Status RestorePlatformStats(ByteReader& reader, PlatformStats* stats) {
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->tasks_published));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->answers_collected));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->hits_published));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->shared_hits));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->micro_dollars_spent));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->ticks));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->leases_granted));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->no_shows));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->abandons));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->expiries));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->reposts));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->dead_lettered));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->late_answers));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&stats->duplicates));
+  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
+    CDB_RETURN_IF_ERROR(reader.GetI64(&(stats->*row.field)));
+  }
   return Status::Ok();
 }
 
@@ -658,6 +585,7 @@ Status CrowdPlatform::RestoreState(ByteReader& reader) {
   CDB_RETURN_IF_ERROR(reader.GetString(&rng_state));
   CDB_RETURN_IF_ERROR(rng_.LoadState(rng_state));
   CDB_RETURN_IF_ERROR(RestorePlatformStats(reader, &stats_));
+  mirror_.Rebase(stats_);
   CDB_RETURN_IF_ERROR(reader.GetI64(&tick_));
   CDB_RETURN_IF_ERROR(reader.GetI64(&lease_seq_));
   uint32_t n = 0;
@@ -699,7 +627,7 @@ void CrowdPlatform::AdvanceTicks(int64_t ticks) {
   CDB_CHECK(ticks >= 0);
   tick_ += ticks;
   stats_.ticks += ticks;
-  Bump(mirror_.ticks, ticks);
+  mirror_.Publish(stats_);
 }
 
 MultiMarket::MultiMarket(std::vector<PlatformOptions> markets,
@@ -800,21 +728,9 @@ Status MultiMarket::RestoreState(ByteReader& reader) {
 PlatformStats MultiMarket::CombinedStats() const {
   PlatformStats total;
   for (const CrowdPlatform& platform : platforms_) {
-    const PlatformStats& s = platform.stats();
-    total.tasks_published += s.tasks_published;
-    total.answers_collected += s.answers_collected;
-    total.hits_published += s.hits_published;
-    total.shared_hits += s.shared_hits;
-    total.micro_dollars_spent += s.micro_dollars_spent;
-    total.ticks += s.ticks;
-    total.leases_granted += s.leases_granted;
-    total.no_shows += s.no_shows;
-    total.abandons += s.abandons;
-    total.expiries += s.expiries;
-    total.reposts += s.reposts;
-    total.dead_lettered += s.dead_lettered;
-    total.late_answers += s.late_answers;
-    total.duplicates += s.duplicates;
+    for (const StatField<PlatformStats>& row : kPlatformStatFields) {
+      total.*row.field += platform.stats().*row.field;
+    }
   }
   return total;
 }

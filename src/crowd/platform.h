@@ -21,10 +21,12 @@
 #define CDB_CROWD_PLATFORM_H_
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "crowd/task.h"
@@ -34,8 +36,6 @@ namespace cdb {
 
 class ByteReader;
 class ByteWriter;
-class Counter;
-class MetricsRegistry;
 class Tracer;
 
 // Salts separating the fault-schedule streams from every other consumer of
@@ -90,10 +90,11 @@ struct PlatformOptions {
   bool requester_controls_assignment = true;
   uint64_t seed = 42;
   FaultProfile fault;
-  // Observability sinks (borrowed, may be null = disabled). The platform
-  // mirrors every PlatformStats increment into `metrics` under `crowd.*`
-  // names — PlatformStats is a per-platform view over the same counts — and
-  // emits one tick-keyed `crowd.round` span per ExecuteRound into `tracer`.
+  // Observability sinks (borrowed, may be null = disabled). PlatformStats is
+  // the platform's only count: each ExecuteRound and AdvanceTicks publishes
+  // its growth into `metrics` as the `crowd.*` counters on return (see
+  // kPlatformStatFields), and each ExecuteRound emits one tick-keyed
+  // `crowd.round` span into `tracer`.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };
@@ -146,6 +147,29 @@ struct PlatformStats {
   int64_t late_answers = 0;      // Answers delivered out of band.
   int64_t duplicates = 0;        // Extra copies of on-time answers.
 };
+
+// Every PlatformStats field, in declaration order, under the name of its
+// `crowd.<name>` counter. The one list of the fields: it also drives
+// PlatformStatsDump, MultiMarket::CombinedStats and the snapshot encoding.
+inline constexpr StatField<PlatformStats> kPlatformStatFields[] = {
+    {"tasks_published", &PlatformStats::tasks_published},
+    {"answers_collected", &PlatformStats::answers_collected},
+    {"hits_published", &PlatformStats::hits_published},
+    {"shared_hits", &PlatformStats::shared_hits},
+    {"micro_dollars_spent", &PlatformStats::micro_dollars_spent},
+    {"ticks", &PlatformStats::ticks},
+    {"leases_granted", &PlatformStats::leases_granted},
+    {"no_shows", &PlatformStats::no_shows},
+    {"abandons", &PlatformStats::abandons},
+    {"expiries", &PlatformStats::expiries},
+    {"reposts", &PlatformStats::reposts},
+    {"dead_lettered", &PlatformStats::dead_lettered},
+    {"late_answers", &PlatformStats::late_answers},
+    {"duplicates", &PlatformStats::duplicates},
+};
+static_assert(sizeof(PlatformStats) ==
+                  std::size(kPlatformStatFields) * sizeof(int64_t),
+              "every PlatformStats field needs a kPlatformStatFields row");
 
 // Rounds a dollar amount to integer micro-dollars (the internal money unit).
 [[nodiscard]] int64_t MicroDollars(double dollars);
@@ -215,8 +239,9 @@ class CrowdPlatform {
   // mirror) rebuilds deterministically from PlatformOptions at construction.
   // RestoreState must run on a freshly-constructed platform with the same
   // options; a seed/worker-count mismatch is a typed error. Restore assigns
-  // stats_ directly and never bumps the registry mirror — the registry is
-  // snapshotted and restored separately (MetricsRegistry::RestoreState).
+  // stats_ directly and rebases the registry mirror on it, publishing
+  // nothing: the registry is snapshotted and restored separately
+  // (MetricsRegistry::RestoreState), and later rounds publish only growth.
   void SnapshotState(ByteWriter& writer) const;
   Status RestoreState(ByteReader& reader);
 
@@ -233,34 +258,15 @@ class CrowdPlatform {
   int EffectiveRedundancy(const Task& task) const;
   void ChargeForTasks(const std::vector<Task>& tasks);
 
-  // Cached registry handles mirroring every stats_ increment (all null when
-  // options_.metrics is unset, making each mirror a single null check).
-  // Counters aggregate across platforms sharing a registry; for a single
-  // platform, registry values equal the PlatformStats fields exactly (the
-  // trace suite asserts this "view" property).
-  struct RegistryMirror {
-    Counter* tasks_published = nullptr;
-    Counter* answers_collected = nullptr;
-    Counter* hits_published = nullptr;
-    Counter* shared_hits = nullptr;
-    Counter* micro_dollars_spent = nullptr;
-    Counter* ticks = nullptr;
-    Counter* leases_granted = nullptr;
-    Counter* no_shows = nullptr;
-    Counter* abandons = nullptr;
-    Counter* expiries = nullptr;
-    Counter* reposts = nullptr;
-    Counter* dead_lettered = nullptr;
-    Counter* late_answers = nullptr;
-    Counter* duplicates = nullptr;
-  };
-
   PlatformOptions options_;
-  RegistryMirror mirror_;
   TruthProvider truth_;
   Rng rng_;
   std::vector<SimulatedWorker> workers_;
   PlatformStats stats_;
+  // Publishes stats_ as `crowd.*`. Counters aggregate across platforms
+  // sharing a registry; for a single platform they equal the PlatformStats
+  // fields after every public call (the trace suite asserts this view).
+  StatsMirror<PlatformStats> mirror_;
   int64_t tick_ = 0;       // Virtual clock; persists across rounds.
   int64_t lease_seq_ = 0;  // Stream index for per-lease fault draws.
   std::vector<Answer> late_answers_;

@@ -8,14 +8,6 @@
 #include "common/trace.h"
 
 namespace cdb {
-namespace {
-
-// Registry mirror helper: null counter (metrics disabled) = no-op.
-inline void Bump(Counter* counter, int64_t delta = 1) {
-  if (counter != nullptr && delta != 0) counter->Increment(delta);
-}
-
-}  // namespace
 
 // The per-session TaskPublisher: session-private traffic (golden warm-up,
 // Collect-phase reposts) and fault-layer drains, translated between the
@@ -73,20 +65,11 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
 };
 
 MultiQueryScheduler::MultiQueryScheduler(const MultiQueryOptions& options)
-    : options_(options), global_budget_(options.global_budget) {
+    : options_(options),
+      global_budget_(options.global_budget),
+      mirror_(options.metrics, "scheduler.", kSchedulerStatFields) {
   options_.platform.metrics = options_.metrics;
   options_.platform.tracer = options_.tracer;
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& reg = *options_.metrics;
-    metrics_.merged_rounds = &reg.counter("scheduler.merged_rounds");
-    metrics_.tasks_requested = &reg.counter("scheduler.tasks_requested");
-    metrics_.tasks_published = &reg.counter("scheduler.tasks_published");
-    metrics_.direct_tasks = &reg.counter("scheduler.direct_tasks");
-    metrics_.dedup_hits = &reg.counter("scheduler.dedup_hits");
-    metrics_.cache_hits = &reg.counter("scheduler.cache_hits");
-    metrics_.budget_denied = &reg.counter("scheduler.budget_denied");
-    metrics_.dedup_tasks_saved = &reg.counter("scheduler.dedup_tasks_saved");
-  }
   platform_ = std::make_unique<CrowdPlatform>(
       options_.platform,
       [this](const Task& task) { return GlobalTaskTruth(task); });
@@ -101,7 +84,7 @@ size_t MultiQueryScheduler::AddQuery(const ResolvedQuery* query,
   size_t index = sessions_.size();
   channels_.push_back(std::make_unique<Channel>(this, index));
   // Sessions share the scheduler's sinks; the shared platform is the only
-  // platform, so nothing double-mirrors.
+  // platform, so no count is published twice.
   ExecutorOptions session_options = options;
   session_options.metrics = options_.metrics;
   session_options.tracer = options_.tracer;
@@ -167,7 +150,6 @@ bool MultiQueryScheduler::SkipDeducedFanout(size_t session, TaskId global,
   if (!sessions_[session]->HoldsDeducedColorFor(local)) return false;
   if (deduced_fanout_counted_.insert({global, session}).second) {
     ++stats_.dedup_tasks_saved;
-    Bump(metrics_.dedup_tasks_saved);
   }
   return true;
 }
@@ -200,14 +182,12 @@ Result<std::vector<Answer>> MultiQueryScheduler::DirectPublish(
   if (granted < static_cast<int64_t>(remapped.size())) {
     int64_t denied = static_cast<int64_t>(remapped.size()) - granted;
     stats_.budget_denied += denied;
-    Bump(metrics_.budget_denied, denied);
     remapped.resize(static_cast<size_t>(granted));
   }
   if (remapped.empty()) return std::vector<Answer>();
   CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
                        platform_->ExecuteRound(remapped, nullptr, nullptr));
   stats_.direct_tasks += static_cast<int64_t>(remapped.size());
-  Bump(metrics_.direct_tasks, static_cast<int64_t>(remapped.size()));
 
   // This session gets its answers back directly; any other subscriber of a
   // shared task receives its copies out of band (its next late-answer drain
@@ -235,7 +215,20 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
   CDB_CHECK_MSG(!ran_, "RunAll may only run once");
   CDB_CHECK_MSG(!sessions_.empty(), "no queries added");
   ran_ = true;
+  Status status = RunRounds();
+  mirror_.Publish(stats_);
+  CDB_RETURN_IF_ERROR(status);
 
+  std::vector<ExecutionResult> results;
+  results.reserve(sessions_.size());
+  for (auto& session : sessions_) {
+    CDB_CHECK(session->done());
+    results.push_back(session->TakeResult());
+  }
+  return results;
+}
+
+Status MultiQueryScheduler::RunRounds() {
   while (true) {
     // Advance every session until it parks at kPublish or finishes.
     bool any_waiting = false;
@@ -259,7 +252,6 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
       batch.session = static_cast<int>(i);
       for (const Task& task : sessions_[i]->pending_tasks()) {
         ++stats_.tasks_requested;
-        Bump(metrics_.tasks_requested);
         bool existed = false;
         TaskId g = ResolveGlobal(i, task, &existed);
         if (existed || in_flight.count(g) > 0) {
@@ -268,7 +260,6 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
           auto cached = answer_cache_.find(g);
           if (cached != answer_cache_.end() && !cached->second.empty()) {
             ++stats_.cache_hits;
-            Bump(metrics_.cache_hits);
             for (const Answer& answer : cached->second) {
               Answer translated = answer;
               translated.task = task.id;
@@ -276,7 +267,6 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
             }
           } else {
             ++stats_.dedup_hits;
-            Bump(metrics_.dedup_hits);
           }
           sessions_[i]->RecordDedupSavings(1);
           continue;
@@ -285,7 +275,6 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
           // Over budget: the ask is dropped; the session's Color phase falls
           // back to the similarity prior for this edge.
           ++stats_.budget_denied;
-          Bump(metrics_.budget_denied);
           continue;
         }
         Task copy = task;
@@ -308,9 +297,7 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
                                  wall.ElapsedMicros());
       }
       ++stats_.merged_rounds;
-      Bump(metrics_.merged_rounds);
       stats_.tasks_published += static_cast<int64_t>(merged.size());
-      Bump(metrics_.tasks_published, static_cast<int64_t>(merged.size()));
       for (const Answer& answer : answers) {
         answer_cache_[answer.task].push_back(answer);
         auto it = subscribers_.find(answer.task);
@@ -336,14 +323,7 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
       }
     }
   }
-
-  std::vector<ExecutionResult> results;
-  results.reserve(sessions_.size());
-  for (auto& session : sessions_) {
-    CDB_CHECK(session->done());
-    results.push_back(session->TakeResult());
-  }
-  return results;
+  return Status::Ok();
 }
 
 PlatformStats MultiQueryScheduler::platform_stats() const {

@@ -27,6 +27,7 @@
 #define CDB_EXEC_SCHEDULER_H_
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,7 +50,8 @@ struct MultiQueryOptions {
   bool dedup_tasks = true;
   // Observability sinks (borrowed, may be null = disabled). Propagated into
   // the shared platform and every added session; the scheduler itself
-  // mirrors MultiQueryStats under `scheduler.*` and emits one
+  // publishes MultiQueryStats as `scheduler.*` counters when RunAll()
+  // returns (see kSchedulerStatFields) and emits one
   // `scheduler.merged_round` span per merge barrier.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
@@ -69,6 +71,22 @@ struct MultiQueryStats {
   // with an answer the session can no longer use.
   int64_t dedup_tasks_saved = 0;
 };
+
+// Every MultiQueryStats field, under the name of its `scheduler.<name>`
+// counter.
+inline constexpr StatField<MultiQueryStats> kSchedulerStatFields[] = {
+    {"merged_rounds", &MultiQueryStats::merged_rounds},
+    {"tasks_requested", &MultiQueryStats::tasks_requested},
+    {"tasks_published", &MultiQueryStats::tasks_published},
+    {"direct_tasks", &MultiQueryStats::direct_tasks},
+    {"dedup_hits", &MultiQueryStats::dedup_hits},
+    {"cache_hits", &MultiQueryStats::cache_hits},
+    {"budget_denied", &MultiQueryStats::budget_denied},
+    {"dedup_tasks_saved", &MultiQueryStats::dedup_tasks_saved},
+};
+static_assert(sizeof(MultiQueryStats) ==
+                  std::size(kSchedulerStatFields) * sizeof(int64_t),
+              "every MultiQueryStats field needs a kSchedulerStatFields row");
 
 // Thread affinity: driver-serial. The scheduler, its sessions, and the
 // shared platform all run on the one driver thread that calls Run()/Step();
@@ -104,6 +122,8 @@ class MultiQueryScheduler {
  private:
   class Channel;
 
+  // RunAll's round loop: steps and merges until no session waits.
+  Status RunRounds();
   // Maps (session, local task) onto the shared id space, registering the
   // subscription; reuses the global id of an identical earlier ask.
   TaskId ResolveGlobal(size_t session, const Task& task, bool* existed);
@@ -121,25 +141,13 @@ class MultiQueryScheduler {
   // the session already deduced local edge `local`'s color.
   bool SkipDeducedFanout(size_t session, TaskId global, TaskId local);
 
-  // Cached registry handles mirroring stats_ (null when metrics disabled).
-  struct SchedulerMetrics {
-    Counter* merged_rounds = nullptr;
-    Counter* tasks_requested = nullptr;
-    Counter* tasks_published = nullptr;
-    Counter* direct_tasks = nullptr;
-    Counter* dedup_hits = nullptr;
-    Counter* cache_hits = nullptr;
-    Counter* budget_denied = nullptr;
-    Counter* dedup_tasks_saved = nullptr;
-  };
-
   MultiQueryOptions options_;
-  SchedulerMetrics metrics_;
   std::unique_ptr<CrowdPlatform> platform_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<QuerySession>> sessions_;
   BudgetLedger global_budget_;
   MultiQueryStats stats_;
+  StatsMirror<MultiQueryStats> mirror_;  // stats_ as `scheduler.*`.
   bool ran_ = false;
 
   TaskId next_global_id_ = 0;

@@ -10,27 +10,12 @@
 namespace cdb {
 
 CdbService::CdbService(const ServiceOptions& options)
-    : options_(options), join_cache_(options.metrics) {
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& r = *options_.metrics;
-    metrics_.submitted = &r.counter("service.submitted");
-    metrics_.rejected_queue = &r.counter("service.rejected_queue");
-    metrics_.rejected_budget = &r.counter("service.rejected_budget");
-    metrics_.admitted = &r.counter("service.admitted");
-    metrics_.completed = &r.counter("service.completed");
-    metrics_.failed = &r.counter("service.failed");
-    metrics_.steps = &r.counter("service.steps");
-    metrics_.waves = &r.counter("service.waves");
-    metrics_.checkpoints = &r.counter("service.checkpoints");
-    metrics_.checkpoint_bytes = &r.counter("service.checkpoint_bytes");
-  }
-}
+    : options_(options),
+      join_cache_(options.metrics),
+      queue_mirror_(options.metrics, "service.", kServiceStatFields),
+      driver_mirror_(options.metrics, "service.", kServiceStatFields) {}
 
 CdbService::~CdbService() = default;
-
-void CdbService::Bump(Counter* counter, int64_t delta) {
-  if (counter != nullptr) counter->Increment(delta);
-}
 
 int64_t CdbService::QueryCost(const ExecutorOptions& options) const {
   return options.budget.value_or(options_.default_query_cost);
@@ -45,11 +30,18 @@ Result<int64_t> CdbService::Enqueue(PendingQuery pending) {
         std::to_string(options_.max_live_sessions) +
         ", max_pending=" + std::to_string(options_.max_pending) + ")");
   }
+  // A negative amount is no budget: the ledger would refuse it with a crash.
   const int64_t cost = QueryCost(pending.options);
+  if (cost < 0 || options_.tenant_budget.value_or(0) < 0) {
+    return Status::InvalidArgument(
+        "query cost (" + std::to_string(cost) + ") and tenant_budget (" +
+        std::to_string(options_.tenant_budget.value_or(0)) +
+        ") must not be negative");
+  }
   MutexLock lock(mutex_);
   if (static_cast<int>(pending_.size()) >= options_.max_pending) {
-    ++rejected_queue_;
-    Bump(metrics_.rejected_queue);
+    ++queue_stats_.rejected_queue;
+    queue_mirror_.Publish(queue_stats_);
     return Status::ResourceExhausted(
         "service submit queue is full (max_pending=" +
         std::to_string(options_.max_pending) + "); retry after a wave");
@@ -63,16 +55,16 @@ Result<int64_t> CdbService::Enqueue(PendingQuery pending) {
   }
   // All-or-nothing: a rejected query must not strand a partial grant.
   if (!it->second->TrySpend(cost)) {
-    ++rejected_budget_;
-    Bump(metrics_.rejected_budget);
+    ++queue_stats_.rejected_budget;
+    queue_mirror_.Publish(queue_stats_);
     return Status::ResourceExhausted(
         "tenant '" + pending.tenant + "' budget cannot cover query cost " +
         std::to_string(cost));
   }
   const int64_t id = next_id_++;
   pending.id = id;
-  ++submitted_;
-  Bump(metrics_.submitted);
+  ++queue_stats_.submitted;
+  queue_mirror_.Publish(queue_stats_);
   pending_.push_back(std::move(pending));
   return id;
 }
@@ -130,12 +122,10 @@ void CdbService::AdmitFromQueue() {
       if (!restored.ok()) {
         finished_.emplace(p.id, Result<ExecutionResult>(std::move(restored)));
         ++driver_stats_.failed;
-        Bump(metrics_.failed);
         continue;
       }
     }
     ++driver_stats_.admitted;
-    Bump(metrics_.admitted);
     live_.emplace(p.id, LiveSession{std::move(p.tenant), std::move(session)});
   }
 }
@@ -187,7 +177,6 @@ int64_t CdbService::StepWave() {
     if (!outcome.ok()) {
       finished_.emplace(id, Result<ExecutionResult>(outcome.status()));
       ++driver_stats_.failed;
-      Bump(metrics_.failed);
       live_.erase(id);
       continue;
     }
@@ -195,16 +184,13 @@ int64_t CdbService::StepWave() {
       finished_.emplace(id, Result<ExecutionResult>(
                                 live_.at(id).session->TakeResult()));
       ++driver_stats_.completed;
-      Bump(metrics_.completed);
       live_.erase(id);
     }
   }
 
   const int64_t stepped = static_cast<int64_t>(order.size());
   driver_stats_.steps += stepped;
-  Bump(metrics_.steps, stepped);
   ++driver_stats_.waves;
-  Bump(metrics_.waves);
 
   if (options_.checkpoint_interval > 0 &&
       driver_stats_.waves % options_.checkpoint_interval == 0 &&
@@ -218,6 +204,7 @@ int64_t CdbService::StepWave() {
         "service.wave", "service", wave - 1, wave,
         options_.tracer->record_wall() ? timer.ElapsedMicros() : -1);
   }
+  driver_mirror_.Publish(driver_stats_);
   return stepped;
 }
 
@@ -252,8 +239,7 @@ std::map<int64_t, std::string> CdbService::CheckpointAll() {
   }
   ++driver_stats_.checkpoints;
   driver_stats_.checkpoint_bytes += bytes;
-  Bump(metrics_.checkpoints);
-  Bump(metrics_.checkpoint_bytes, bytes);
+  driver_mirror_.Publish(driver_stats_);
   last_checkpoint_ = bundle;
   return bundle;
 }
@@ -261,9 +247,9 @@ std::map<int64_t, std::string> CdbService::CheckpointAll() {
 ServiceStats CdbService::stats() const {
   ServiceStats stats = driver_stats_;
   MutexLock lock(mutex_);
-  stats.submitted = submitted_;
-  stats.rejected_queue = rejected_queue_;
-  stats.rejected_budget = rejected_budget_;
+  stats.submitted = queue_stats_.submitted;
+  stats.rejected_queue = queue_stats_.rejected_queue;
+  stats.rejected_budget = queue_stats_.rejected_budget;
   return stats;
 }
 

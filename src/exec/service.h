@@ -8,9 +8,10 @@
 // bounded queue pushing back when submitters outrun the stepper.
 //
 // Admission control (every rejection is a typed kResourceExhausted, never a
-// crash or a silent drop — except that a service whose max_live_sessions or
-// max_pending is below 1 could never admit anything, so it refuses every
-// submission with kInvalidArgument):
+// crash or a silent drop — with two exceptions, both kInvalidArgument and
+// both refused before the queue or any ledger is touched: a service whose
+// max_live_sessions or max_pending is below 1 could never admit anything,
+// and a negative query cost or tenant_budget is no budget at all):
 //   - bounded submit queue: Submit() fails once max_pending entries wait;
 //   - per-tenant budget: each tenant owns a BudgetLedger over crowd tasks,
 //     and a query is admitted only if its declared cost fits (TrySpend —
@@ -44,6 +45,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -51,6 +53,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "cost/ledger.h"
@@ -72,17 +75,18 @@ struct ServiceOptions {
   // Wave-stepping parallelism (ParallelFor semantics: <= 0 = all hardware
   // threads, 1 = serial). Per-session state is bit-identical at any setting.
   int num_threads = 1;
-  // Observability sinks (borrowed, may be null). The service emits integer
-  // `service.*` counters, plus the `simjoin.*` funnel of each join its
-  // shared cache runs (once per distinct join, not once per session) —
-  // wall-clock latency histograms live in bench/bench_service.cc so
-  // MetricsDump stays deterministic.
+  // Observability sinks (borrowed, may be null). The service publishes its
+  // ServiceStats as integer `service.*` counters, plus the `simjoin.*`
+  // funnel of each join its shared cache runs (once per distinct join, not
+  // once per session) — wall-clock latency histograms live in
+  // bench/bench_service.cc so MetricsDump stays deterministic.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };
 
-// Integer accounting for the service loop; every field also mirrors a
-// `service.*` metric when a registry is attached.
+// Integer accounting for the service loop, and the only place it is counted:
+// the `service.*` counters are published from it (kServiceStatFields) when
+// Enqueue, StepWave() or CheckpointAll() returns.
 struct ServiceStats {
   int64_t submitted = 0;        // Submit() calls that were admitted to queue.
   int64_t rejected_queue = 0;   // Typed rejections: queue full.
@@ -96,6 +100,23 @@ struct ServiceStats {
   int64_t checkpoint_bytes = 0; // Total bytes across all bundles.
 };
 
+// Every ServiceStats field, under the name of its `service.<name>` counter.
+inline constexpr StatField<ServiceStats> kServiceStatFields[] = {
+    {"submitted", &ServiceStats::submitted},
+    {"rejected_queue", &ServiceStats::rejected_queue},
+    {"rejected_budget", &ServiceStats::rejected_budget},
+    {"admitted", &ServiceStats::admitted},
+    {"completed", &ServiceStats::completed},
+    {"failed", &ServiceStats::failed},
+    {"steps", &ServiceStats::steps},
+    {"waves", &ServiceStats::waves},
+    {"checkpoints", &ServiceStats::checkpoints},
+    {"checkpoint_bytes", &ServiceStats::checkpoint_bytes},
+};
+static_assert(sizeof(ServiceStats) ==
+                  std::size(kServiceStatFields) * sizeof(int64_t),
+              "every ServiceStats field needs a kServiceStatFields row");
+
 class CdbService {
  public:
   explicit CdbService(const ServiceOptions& options);
@@ -106,7 +127,8 @@ class CdbService {
   // Queues one query for execution under `tenant`'s budget. Thread-safe.
   // Returns the service-assigned session id, or kResourceExhausted when the
   // queue is full / the tenant's budget cannot cover the query's cost, or
-  // kInvalidArgument when an admission cap is below 1.
+  // kInvalidArgument when an admission cap is below 1 or the query's cost
+  // or the tenant budget is negative.
   // `query` must outlive the service (sessions borrow it).
   Result<int64_t> Submit(std::string_view tenant, const ResolvedQuery* query,
                          const ExecutorOptions& options, EdgeTruthFn truth)
@@ -175,7 +197,6 @@ class CdbService {
   void AdmitFromQueue() CDB_EXCLUDES(mutex_);
   // Live session ids, one per tenant per turn (wave fairness).
   std::vector<int64_t> WaveOrder() const;
-  void Bump(Counter* counter, int64_t delta = 1);
 
   const ServiceOptions options_;
   // Crowd-join results shared by every session this service admits or
@@ -185,9 +206,10 @@ class CdbService {
   mutable Mutex mutex_;
   std::deque<PendingQuery> pending_ CDB_GUARDED_BY(mutex_);
   int64_t next_id_ CDB_GUARDED_BY(mutex_) = 1;
-  int64_t submitted_ CDB_GUARDED_BY(mutex_) = 0;
-  int64_t rejected_queue_ CDB_GUARDED_BY(mutex_) = 0;
-  int64_t rejected_budget_ CDB_GUARDED_BY(mutex_) = 0;
+  // The submitted/rejected fields, written by Enqueue under the lock (the
+  // driver fields stay zero here), and their registry view.
+  ServiceStats queue_stats_ CDB_GUARDED_BY(mutex_);
+  StatsMirror<ServiceStats> queue_mirror_ CDB_GUARDED_BY(mutex_);
   // Tenant ledgers live for the service's lifetime (ledgers are shared with
   // no one and BudgetLedger is self-locking, so Submit holds mutex_ only for
   // queue state).
@@ -198,22 +220,10 @@ class CdbService {
   std::map<int64_t, LiveSession> live_;
   std::map<int64_t, Result<ExecutionResult>> finished_;
   std::map<int64_t, std::string> last_checkpoint_;
+  // The driver fields (the submitted/rejected ones stay zero here), and
+  // their registry view.
   ServiceStats driver_stats_;
-
-  // Cached `service.*` registry handles (null when metrics is unset).
-  struct ServiceMetrics {
-    Counter* submitted = nullptr;
-    Counter* rejected_queue = nullptr;
-    Counter* rejected_budget = nullptr;
-    Counter* admitted = nullptr;
-    Counter* completed = nullptr;
-    Counter* failed = nullptr;
-    Counter* steps = nullptr;
-    Counter* waves = nullptr;
-    Counter* checkpoints = nullptr;
-    Counter* checkpoint_bytes = nullptr;
-  };
-  ServiceMetrics metrics_;
+  StatsMirror<ServiceStats> driver_mirror_;
 };
 
 }  // namespace cdb

@@ -15,7 +15,7 @@
 namespace cdb {
 namespace {
 
-// Registry mirror helper: null counter (metrics disabled) = no-op.
+// Null counter (metrics disabled) = no-op.
 inline void Bump(Counter* counter, int64_t delta = 1) {
   if (counter != nullptr && delta != 0) counter->Increment(delta);
 }
@@ -103,6 +103,7 @@ QuerySession::QuerySession(const ResolvedQuery* query,
                            TaskPublisher* publisher)
     : query_(query),
       options_(options),
+      stats_mirror_(options.metrics, "session.", kSessionStatFields),
       truth_(std::move(truth)),
       assigner_(&posteriors_, &worker_quality_, /*num_choices=*/2),
       budget_(options.budget) {
@@ -114,30 +115,18 @@ QuerySession::QuerySession(const ResolvedQuery* query,
     market.metrics = options_.metrics;
     market.tracer = options_.tracer;
   }
+  for (int p = 0; p < kNumSessionPhases; ++p) {
+    phase_mirrors_[static_cast<size_t>(p)] = StatsMirror<PhaseCounters>(
+        options_.metrics,
+        std::string("session.phase.") +
+            SessionPhaseName(static_cast<SessionPhase>(p)) + ".",
+        kPhaseStatFields);
+  }
   if (options_.metrics != nullptr) {
     MetricsRegistry& reg = *options_.metrics;
-    for (int p = 0; p < kNumSessionPhases; ++p) {
-      std::string prefix = std::string("session.phase.") +
-                           SessionPhaseName(static_cast<SessionPhase>(p));
-      metrics_.phase_steps[static_cast<size_t>(p)] =
-          &reg.counter(prefix + ".steps");
-      metrics_.phase_tasks[static_cast<size_t>(p)] =
-          &reg.counter(prefix + ".tasks");
-      metrics_.phase_answers[static_cast<size_t>(p)] =
-          &reg.counter(prefix + ".answers");
-    }
-    metrics_.rounds = &reg.counter("session.rounds");
-    metrics_.reposted_tasks = &reg.counter("session.retry.reposted_tasks");
     metrics_.retry_waves = &reg.counter("session.retry.waves");
     metrics_.backoff_ticks = &reg.counter("session.retry.backoff_ticks");
     metrics_.starved_tasks = &reg.counter("session.retry.starved_tasks");
-    metrics_.late_answers = &reg.counter("session.late_answers");
-    metrics_.recolored_edges = &reg.counter("session.recolored_edges");
-    metrics_.fallback_colored = &reg.counter("session.fallback_colored");
-    metrics_.dedup_tasks_saved = &reg.counter("session.dedup_tasks_saved");
-    metrics_.deduced_edges = &reg.counter("session.deduced_edges");
-    metrics_.deduction_invalidations =
-        &reg.counter("session.deduction_invalidations");
     metrics_.round_size = &reg.histogram("session.round_size");
   }
   policy_ = [this](const SimulatedWorker& worker,
@@ -181,19 +170,14 @@ Result<bool> QuerySession::Step() {
                 "answers; call DeliverAnswers() instead");
   if (phase_ == SessionPhase::kDone) return false;
   const SessionPhase entry = phase_;
-  const size_t ei = static_cast<size_t>(entry);
-  const PhaseCounters before = result_.stats.phases[ei];
   const int64_t tick_begin =
       options_.tracer != nullptr ? publisher_->stats().ticks : 0;
   WallTimer wall;
+  // Everything the phase body accounts (including reposts and late-answer
+  // reconciliation inside it) lands on the entry phase.
   ++Counters().steps;
   Result<bool> more = DispatchPhase(entry);
-  // Everything the phase body accounted (including reposts and late-answer
-  // reconciliation inside it) lands on the entry phase; mirror the delta.
-  const PhaseCounters& after = result_.stats.phases[ei];
-  Bump(metrics_.phase_steps[ei], after.steps - before.steps);
-  Bump(metrics_.phase_tasks[ei], after.tasks - before.tasks);
-  Bump(metrics_.phase_answers[ei], after.answers - before.answers);
+  PublishStats();
   if (options_.tracer != nullptr) {
     options_.tracer->AddSpan(
         std::string("session.") + SessionPhaseName(entry), "session",
@@ -235,7 +219,22 @@ ExecutionResult QuerySession::TakeResult() {
 
 void QuerySession::RecordDedupSavings(int64_t tasks_saved) {
   result_.stats.dedup_tasks_saved += tasks_saved;
-  Bump(metrics_.dedup_tasks_saved, tasks_saved);
+  PublishStats();
+}
+
+int64_t QuerySession::AnswersReceived() const {
+  int64_t total = 0;
+  for (const PhaseCounters& counters : result_.stats.phases) {
+    total += counters.answers;
+  }
+  return total;
+}
+
+void QuerySession::PublishStats() {
+  stats_mirror_.Publish(result_.stats);
+  for (size_t p = 0; p < phase_mirrors_.size(); ++p) {
+    phase_mirrors_[p].Publish(result_.stats.phases[p]);
+  }
 }
 
 Result<bool> QuerySession::StepBuildGraph() {
@@ -271,7 +270,6 @@ Result<bool> QuerySession::StepBuildGraph() {
                          publisher_->Publish(golden, nullptr, nullptr));
     Counters().tasks += static_cast<int64_t>(golden.size());
     Counters().answers += static_cast<int64_t>(golden_answers.size());
-    answers_received_ += static_cast<int64_t>(golden_answers.size());
     for (const Answer& answer : golden_answers) {
       golden_observations.push_back(
           ChoiceObservation{answer.task, answer.worker, answer.choice});
@@ -319,9 +317,7 @@ Result<bool> QuerySession::StepSelectTasks() {
   }
   // Deduction-aware ordering hook: the base cost-control order breaks ties;
   // asks that stand to resolve the most other edges move to the front.
-  if (options_.propagation.enabled && options_.propagation.expected_yield_order) {
-    ReorderByDeductionYield();
-  }
+  if (options_.propagation.enabled) ReorderByDeductionYield();
   result_.stats.selection_ms += timer.ElapsedMs();
 
   if (ordered_.empty()) return Finish();
@@ -375,7 +371,6 @@ Result<bool> QuerySession::StepPublish() {
       publisher_->Publish(round_tasks_, round_policy, round_observer));
   Counters().tasks += static_cast<int64_t>(round_tasks_.size());
   Counters().answers += static_cast<int64_t>(answers.size());
-  answers_received_ += static_cast<int64_t>(answers.size());
   Absorb(answers);
   phase_ = SessionPhase::kCollect;
   return true;
@@ -384,14 +379,9 @@ Result<bool> QuerySession::StepPublish() {
 void QuerySession::DeliverAnswers(const std::vector<Answer>& answers) {
   CDB_CHECK_MSG(waiting_for_answers(),
                 "DeliverAnswers on a session that is not parked at kPublish");
-  const size_t ei = static_cast<size_t>(SessionPhase::kPublish);
   ++Counters().steps;
   Counters().tasks += static_cast<int64_t>(round_tasks_.size());
   Counters().answers += static_cast<int64_t>(answers.size());
-  Bump(metrics_.phase_steps[ei]);
-  Bump(metrics_.phase_tasks[ei], static_cast<int64_t>(round_tasks_.size()));
-  Bump(metrics_.phase_answers[ei], static_cast<int64_t>(answers.size()));
-  answers_received_ += static_cast<int64_t>(answers.size());
   if (options_.quality_control) {
     // The shared platform assigns round-robin (the id spaces differ), so the
     // posterior updates happen on delivery instead of per-arrival.
@@ -399,6 +389,7 @@ void QuerySession::DeliverAnswers(const std::vector<Answer>& answers) {
   }
   Absorb(answers);
   phase_ = SessionPhase::kCollect;
+  PublishStats();
 }
 
 Result<bool> QuerySession::StepCollect() {
@@ -443,10 +434,8 @@ Result<bool> QuerySession::StepCollect() {
           std::vector<Answer> more,
           publisher_->Publish(reposts, round_policy, round_observer));
       stats.reposted_tasks += static_cast<int64_t>(reposts.size());
-      Bump(metrics_.reposted_tasks, static_cast<int64_t>(reposts.size()));
       Counters().tasks += static_cast<int64_t>(reposts.size());
       Counters().answers += static_cast<int64_t>(more.size());
-      answers_received_ += static_cast<int64_t>(more.size());
       Absorb(more);
     }
     for (const Task& task : round_tasks_) {
@@ -491,7 +480,6 @@ Result<bool> QuerySession::StepColor() {
       // majority-so-far — with zero observations that is the similarity
       // prior — instead of aborting the query.
       ++result_.stats.fallback_colored;
-      Bump(metrics_.fallback_colored);
       color = graph_.edge(e).weight >= 0.5 ? EdgeColor::kBlue
                                            : EdgeColor::kRed;
       provenance = EdgeProvenance::kFallback;
@@ -511,10 +499,8 @@ Result<bool> QuerySession::StepColor() {
     if (color != EdgeColor::kUnknown) {
       provenance = EdgeProvenance::kDeduced;
       ++result_.stats.deduced_edges;
-      Bump(metrics_.deduced_edges);
     } else {
       ++result_.stats.fallback_colored;
-      Bump(metrics_.fallback_colored);
       color = graph_.edge(e).weight >= 0.5 ? EdgeColor::kBlue : EdgeColor::kRed;
       provenance = EdgeProvenance::kFallback;
     }
@@ -525,7 +511,6 @@ Result<bool> QuerySession::StepColor() {
   result_.stats.tasks_asked += static_cast<int64_t>(round_edges_.size());
   result_.stats.round_sizes.push_back(static_cast<int64_t>(round_edges_.size()));
   ++result_.stats.rounds;
-  Bump(metrics_.rounds);
   if (metrics_.round_size != nullptr) {
     metrics_.round_size->Observe(static_cast<int64_t>(round_edges_.size()));
   }
@@ -562,7 +547,6 @@ Result<bool> QuerySession::Finish() {
         continue;
       }
       ++result_.stats.fallback_colored;
-      Bump(metrics_.fallback_colored);
       graph_.SetColor(e, graph_.edge(e).weight >= 0.5 ? EdgeColor::kBlue
                                                       : EdgeColor::kRed);
       edge_provenance_[static_cast<size_t>(e)] =
@@ -577,9 +561,9 @@ Result<bool> QuerySession::Finish() {
 
   stats.platform = publisher_->stats();
   // In scheduler mode the publisher's stats cover every co-scheduled
-  // session; this session's own delivery count is tracked separately.
+  // session; this session's own deliveries are its phase answer counts.
   stats.worker_answers =
-      external_publish_ ? answers_received_ : stats.platform.answers_collected;
+      external_publish_ ? AnswersReceived() : stats.platform.answers_collected;
   stats.hits_published = stats.platform.hits_published;
   stats.dollars_spent = stats.platform.dollars_spent();
   result_.answers = AssignmentsToAnswers(graph_, FindAnswers(graph_));
@@ -625,9 +609,7 @@ void QuerySession::ReconcileLate() {
   std::vector<Answer> late = publisher_->TakeLateAnswers();
   if (late.empty()) return;
   result_.stats.late_answers += static_cast<int64_t>(late.size());
-  Bump(metrics_.late_answers, static_cast<int64_t>(late.size()));
   Counters().answers += static_cast<int64_t>(late.size());
-  answers_received_ += static_cast<int64_t>(late.size());
   if (Absorb(late) == 0) return;
   InferenceResult inference = InferAll();
   bool flipped = false;
@@ -655,7 +637,6 @@ void QuerySession::ReconcileLate() {
     if (graph_.edge(e).color != want) {
       graph_.RecolorEdge(e, want);
       ++result_.stats.recolored_edges;
-      Bump(metrics_.recolored_edges);
       flipped = true;
     }
   }
@@ -688,7 +669,6 @@ void QuerySession::PropagateDeductions() {
     edge_provenance_[static_cast<size_t>(e)] =
         static_cast<uint8_t>(EdgeProvenance::kDeduced);
     ++result_.stats.deduced_edges;
-    Bump(metrics_.deduced_edges);
   }
 }
 
@@ -702,7 +682,6 @@ void QuerySession::RebuildDeductions() {
     edge_provenance_[static_cast<size_t>(e)] =
         static_cast<uint8_t>(EdgeProvenance::kNone);
     ++result_.stats.deduction_invalidations;
-    Bump(metrics_.deduction_invalidations);
   }
   deduction_->Reset();
   // Ascending re-observation rebuilds the same partition and fact set as any

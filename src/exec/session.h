@@ -30,6 +30,7 @@
 
 #include <array>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "cost/ledger.h"
 #include "cost/structure_cache.h"
@@ -53,8 +55,6 @@
 #include "quality/truth_inference.h"
 
 namespace cdb {
-
-class Histogram;
 
 // Simulation oracle: the true answer of an edge's yes/no task.
 using EdgeTruthFn = std::function<bool(const QueryGraph&, EdgeId)>;
@@ -80,17 +80,15 @@ struct RetryOptions {
 // Answer propagation (ROADMAP item 3; graph/propagation.h): fold each
 // round's crowd-evidenced colors into per-predicate match clusters and
 // deduce still-unknown edges by transitivity/anti-transitivity before the
-// next selection runs, so deducible edges are never published. Off by
-// default: the propagation-off executor is byte-identical to the pre-
-// propagation one.
+// next selection runs, so deducible edges are never published. With it on,
+// each round's base cost-control order also defers duplicates: a task whose
+// (predicate, endpoint-cluster pair) already has an earlier task in the
+// order moves, order kept, behind the first task of every pair — one answer
+// for the first task resolves its pair's other edges by deduction, so a
+// duplicate's expected yield is ~0. Off by default: the propagation-off
+// executor is byte-identical to the pre-propagation one.
 struct PropagationOptions {
   bool enabled = false;
-  // Keep each round's base cost-control order but defer duplicates: a task
-  // whose (predicate, endpoint-cluster pair) already has an earlier task in
-  // the order moves, order kept, behind the first task of every pair. One
-  // answer for the first task resolves its pair's other edges by deduction,
-  // so a duplicate's expected yield is ~0. Only read when `enabled` is set.
-  bool expected_yield_order = true;
 };
 
 // How an edge's current color came to be (answer-propagation bookkeeping).
@@ -129,8 +127,9 @@ struct ExecutorOptions {
   RetryOptions retry;                // Timeout/repost policy under faults.
   PropagationOptions propagation;    // Transitive deduction (off = legacy).
   // Observability sinks (borrowed, may be null = disabled). Propagated into
-  // the owned platform/markets; the session itself emits `session.*` metrics
-  // and one tick-keyed span per Step().
+  // the owned platform/markets; the session itself publishes its
+  // ExecutionStats as `session.*` counters when Step(), DeliverAnswers() or
+  // RecordDedupSavings() returns, and emits one tick-keyed span per Step().
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };
@@ -198,6 +197,30 @@ struct ExecutionStats {
   // comparisons.
   PlatformStats platform;
 };
+
+// The ExecutionStats fields a session publishes as `session.<name>`
+// counters. The rest are per-session results: the platform totals are
+// `crowd.*` already, and the phase counters publish under kPhaseStatFields.
+inline constexpr StatField<ExecutionStats> kSessionStatFields[] = {
+    {"rounds", &ExecutionStats::rounds},
+    {"retry.reposted_tasks", &ExecutionStats::reposted_tasks},
+    {"late_answers", &ExecutionStats::late_answers},
+    {"recolored_edges", &ExecutionStats::recolored_edges},
+    {"fallback_colored", &ExecutionStats::fallback_colored},
+    {"dedup_tasks_saved", &ExecutionStats::dedup_tasks_saved},
+    {"deduced_edges", &ExecutionStats::deduced_edges},
+    {"deduction_invalidations", &ExecutionStats::deduction_invalidations},
+};
+
+// Every PhaseCounters field, published as `session.phase.<phase>.<name>`.
+inline constexpr StatField<PhaseCounters> kPhaseStatFields[] = {
+    {"steps", &PhaseCounters::steps},
+    {"tasks", &PhaseCounters::tasks},
+    {"answers", &PhaseCounters::answers},
+};
+static_assert(sizeof(PhaseCounters) ==
+                  std::size(kPhaseStatFields) * sizeof(int64_t),
+              "every PhaseCounters field needs a kPhaseStatFields row");
 
 // One result tuple: the row index per base relation.
 struct QueryAnswer {
@@ -411,25 +434,19 @@ class QuerySession {
   PhaseCounters& Counters() {
     return result_.stats.phases[static_cast<size_t>(phase_)];
   }
+  // Deliveries received (fan-out copies and late answers included, before
+  // dedup): the sum of the phase `answers` counters.
+  int64_t AnswersReceived() const;
+  // Publishes result_.stats into the registry (see StatsMirror); every
+  // public call that writes the stats ends with it.
+  void PublishStats();
 
-  // Cached registry handles (all null when options_.metrics is unset).
-  // Per-phase counters live under `session.phase.<name>.*`, the rest under
-  // `session.*`; each mirrors the like-named ExecutionStats field.
+  // Registry handles of the counters with no ExecutionStats field, written
+  // where they happen (all null when options_.metrics is unset).
   struct SessionMetrics {
-    std::array<Counter*, kNumSessionPhases> phase_steps{};
-    std::array<Counter*, kNumSessionPhases> phase_tasks{};
-    std::array<Counter*, kNumSessionPhases> phase_answers{};
-    Counter* rounds = nullptr;
-    Counter* reposted_tasks = nullptr;
     Counter* retry_waves = nullptr;
     Counter* backoff_ticks = nullptr;
     Counter* starved_tasks = nullptr;
-    Counter* late_answers = nullptr;
-    Counter* recolored_edges = nullptr;
-    Counter* fallback_colored = nullptr;
-    Counter* dedup_tasks_saved = nullptr;
-    Counter* deduced_edges = nullptr;
-    Counter* deduction_invalidations = nullptr;
     Histogram* round_size = nullptr;
   };
 
@@ -444,6 +461,10 @@ class QuerySession {
   ExecutorOptions options_;
   // cdb-snapshot: transient(registry handles; re-registered at construction)
   SessionMetrics metrics_;
+  // Registry views of result_.stats: kSessionStatFields and one
+  // kPhaseStatFields mirror per phase. Restore() rebases them.
+  StatsMirror<ExecutionStats> stats_mirror_;
+  std::array<StatsMirror<PhaseCounters>, kNumSessionPhases> phase_mirrors_;
   // cdb-snapshot: transient(oracle callback; the restoring caller supplies it)
   EdgeTruthFn truth_;
   QueryGraph graph_;
@@ -491,7 +512,6 @@ class QuerySession {
   std::vector<EdgeId> round_edges_;  // BatchRound -> Color.
   std::vector<Task> round_tasks_;    // BatchRound -> Publish/Collect.
   InferenceResult inference_;        // Infer -> Color.
-  int64_t answers_received_ = 0;     // Deliveries incl. fan-out, pre-dedup.
   ExecutionResult result_;
 };
 

@@ -9,7 +9,8 @@
 //   sampling_order | all_observations | worker_quality | posteriors
 //   budget spent i64
 //   ordered | round_edges | round_tasks | inference
-//   answers_received i64 | result (answers + full ExecutionStats)
+//   answers_received i64 (the sum of the phase answer counters, checked on
+//   restore) | result (answers + full ExecutionStats)
 //   owned_platform bool | [platform state (crowd/platform.cc)]
 //   checksum u64
 //
@@ -279,7 +280,7 @@ std::string QuerySession::Snapshot() const {
   for (const Task& task : round_tasks_) PutTask(writer, task);
   PutPosteriors(writer, inference_.posteriors);
   PutWorkerQuality(writer, inference_.worker_quality);
-  writer.PutI64(answers_received_);
+  writer.PutI64(AnswersReceived());
 
   writer.PutU32(static_cast<uint32_t>(result_.answers.size()));
   for (const QueryAnswer& answer : result_.answers) {
@@ -435,7 +436,8 @@ Status QuerySession::Restore(std::string_view blob) {
   }
   CDB_RETURN_IF_ERROR(GetPosteriors(reader, &inference_.posteriors));
   CDB_RETURN_IF_ERROR(GetWorkerQuality(reader, &inference_.worker_quality));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&answers_received_));
+  int64_t answers_received = 0;
+  CDB_RETURN_IF_ERROR(reader.GetI64(&answers_received));
 
   uint32_t num_answers = 0;
   CDB_RETURN_IF_ERROR(reader.GetU32(&num_answers));
@@ -444,6 +446,17 @@ Status QuerySession::Restore(std::string_view blob) {
     CDB_RETURN_IF_ERROR(GetInt64List(reader, &result_.answers[i].rows));
   }
   CDB_RETURN_IF_ERROR(GetStats(reader, &result_.stats));
+  if (answers_received != AnswersReceived()) {
+    return Status::DataLoss(
+        "session snapshot: answers-received slot disagrees with the phase "
+        "answer counters");
+  }
+  // The registry's owner restores what was published before the snapshot;
+  // from here on only growth is published.
+  stats_mirror_.Rebase(result_.stats);
+  for (size_t p = 0; p < phase_mirrors_.size(); ++p) {
+    phase_mirrors_[p].Rebase(result_.stats.phases[p]);
+  }
 
   bool owned_platform = false;
   CDB_RETURN_IF_ERROR(reader.GetBool(&owned_platform));

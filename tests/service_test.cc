@@ -10,14 +10,17 @@
 // that a rebuilt service finishes them byte-identically.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util/metrics.h"
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
 #include "exec/service.h"
@@ -478,6 +481,115 @@ TEST_F(ServiceTest, UnusableCapsAreInvalidArgument) {
     EXPECT_EQ(stats.rejected_queue, 0);
     EXPECT_EQ(stats.rejected_budget, 0);
   }
+}
+
+// Submitters on several threads enqueue while the driver steps waves: every
+// Submit is counted exactly once, and the service.* counters published from
+// both sides of the admission lock equal the stats.
+TEST_F(ServiceTest, ConcurrentSubmittersAreCountedOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10;
+  MetricsRegistry registry;
+  ServiceOptions service_options;
+  service_options.max_pending = 6;
+  service_options.tenant_budget = 5;
+  service_options.num_threads = 2;
+  service_options.metrics = &registry;
+  CdbService service(service_options);
+  std::atomic<int> accepted{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t seed = static_cast<uint64_t>(900 + t * kPerThread + i);
+        if (service.Submit(t % 2 == 0 ? "alice" : "bob", &query_,
+                           CleanCrowd(seed, 1), truth_)
+                .ok()) {
+          ++accepted;
+        }
+      }
+      ++finished;
+    });
+  }
+  while (finished.load() < kThreads) service.StepWave();
+  for (std::thread& submitter : submitters) submitter.join();
+  service.RunUntilDrained();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, accepted.load());
+  EXPECT_EQ(stats.submitted + stats.rejected_queue + stats.rejected_budget,
+            kThreads * kPerThread);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  for (const StatField<ServiceStats>& row : kServiceStatFields) {
+    EXPECT_EQ(registry.counter(std::string("service.") + row.name).Value(),
+              stats.*row.field)
+        << row.name;
+  }
+}
+
+// A negative query cost or tenant budget is no budget at all: Submit refuses
+// it typed, before the queue or any tenant ledger is touched, instead of
+// aborting the whole service in the ledger's own precondition check.
+TEST_F(ServiceTest, NegativeCostIsInvalidArgument) {
+  ExecutorOptions negative_budget = CleanCrowd(810, 1);
+  negative_budget.budget = -1;
+  ServiceOptions negative_default;
+  negative_default.default_query_cost = -1;
+  ServiceOptions negative_tenant;
+  negative_tenant.tenant_budget = -1;
+  const std::vector<std::pair<ServiceOptions, ExecutorOptions>> cases = {
+      {ServiceOptions{}, negative_budget},
+      {negative_default, CleanCrowd(811, 1)},
+      {negative_tenant, CleanCrowd(812, 1)},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    CdbService service(cases[i].first);
+    Result<int64_t> id =
+        service.Submit("alice", &query_, cases[i].second, truth_);
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+    EXPECT_FALSE(service.HasWork()) << "case " << i;
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted + stats.rejected_queue + stats.rejected_budget,
+              0)
+        << "case " << i;
+  }
+}
+
+// The snapshot's answers-received slot holds the sum of the phase answer
+// counters. A blob whose slot disagrees with them — checksum recomputed, so
+// nothing else catches it — is refused as kDataLoss.
+TEST_F(ServiceTest, AnswersReceivedSlotMustMatchPhaseCounters) {
+  const ExecutorOptions options = WithQualityControl(CleanCrowd(9, 1));
+  QuerySession donor(&query_, options, truth_);
+  ASSERT_TRUE(donor.Step().value());  // Build: the golden answers arrive.
+  int64_t received = 0;
+  for (const PhaseCounters& counters : donor.stats().phases) {
+    received += counters.answers;
+  }
+  ASSERT_GT(received, 0);
+  const std::string blob = donor.Snapshot();
+  auto reseal = [](std::string payload) {
+    ByteWriter checksum;
+    checksum.PutU64(SnapshotChecksum(payload));
+    return payload + checksum.data();
+  };
+  std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
+  ASSERT_EQ(reseal(payload), blob);
+  // The slot follows the empty inference posteriors and worker qualities,
+  // and precedes the empty result-answer list.
+  ByteWriter slot;
+  slot.PutU32(0);
+  slot.PutU32(0);
+  slot.PutI64(received);
+  slot.PutU32(0);
+  const size_t at = payload.find(slot.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(slot.data(), at + 1), std::string::npos);
+  payload[at + 2 * sizeof(uint32_t)] ^= 0x01;
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(restored.Restore(reseal(payload)).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ServiceTest, CorruptCheckpointSurfacesAsSessionFailureNotCrash) {
