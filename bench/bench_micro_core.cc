@@ -269,8 +269,8 @@ BENCHMARK(BM_SelectParallelRound);
 // Runs the join over scalable string corpora (10^4 and 10^5 records) and
 // writes BENCH_simjoin.json: wall time, records/sec, and the funnel
 // counters. The counters are deterministic in the corpus seed, so CI
-// regenerates the file and diffs them exactly
-// (tools/check_bench_simjoin.py); wall time is an ungated trajectory.
+// regenerates the file and diffs them exactly (tools/check_bench.py);
+// wall time is an ungated trajectory.
 
 struct SimJoinWorkload {
   const char* name;
@@ -368,8 +368,7 @@ void RunSimJoinFunnel(const std::string& path) {
 // writes BENCH_optimizer.json: wall time, the ordering length, and an FNV-1a
 // checksum of the edge ordering. Graphs and orderings are deterministic in
 // the workload seed, so CI regenerates the file and diffs the counters
-// exactly (tools/check_bench_optimizer.py); wall time is an ungated
-// trajectory.
+// exactly (tools/check_bench.py); wall time is an ungated trajectory.
 
 struct OptimizerWorkload {
   const char* name;

@@ -11,9 +11,9 @@
 // run throughout, so the reported throughput already pays the snapshot tax.
 //
 // All counters in the emitted JSON are deterministic in --seed;
-// tools/check_bench_service.py compares them against the checked-in golden
-// exactly and gates the wall-clock fields (sessions/sec, p99 step latency)
-// by floor/ceiling only.
+// tools/check_bench.py compares them against the checked-in golden exactly
+// and gates the wall-clock fields (sessions/sec, p99 step latency) by
+// floor/ceiling only.
 #include <algorithm>
 #include <cstdio>
 #include <map>

@@ -98,8 +98,7 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
 
   // --- No double-spend: pricing is a pure function of HITs, checked in
   // exact integer micro-dollars. ---
-  int64_t expected_micro =
-      ps.hits_published * MicroDollars(options.platform.price_per_hit);
+  int64_t expected_micro = ps.hits_published * MicroDollars(kPricePerHit);
   if (ps.micro_dollars_spent != expected_micro) {
     Violate(v, FormatInt("double-spend: micro_dollars_spent vs hits * price",
                          ps.micro_dollars_spent, expected_micro));
@@ -150,7 +149,7 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
       Violate(v, FormatInt("tasks published exceed budget", ps.tasks_published,
                            cap));
     }
-    int64_t micro_cap = cap * MicroDollars(options.platform.price_per_hit);
+    int64_t micro_cap = cap * MicroDollars(kPricePerHit);
     if (ps.micro_dollars_spent > micro_cap) {
       Violate(v, FormatInt("micro-dollars exceed budget cap",
                            ps.micro_dollars_spent, micro_cap));

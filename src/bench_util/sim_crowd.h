@@ -3,7 +3,7 @@
 // CDB executor over the paper's mini example with a FaultProfile injected,
 // followed by an invariant sweep:
 //   - termination (the executor returned instead of spinning),
-//   - no double-spend (dollars_spent == hits_published * price_per_hit),
+//   - no double-spend (dollars_spent == hits_published * kPricePerHit),
 //   - lease conservation (leases == on-time non-duplicate answers + abandons
 //     + late answers; expiries <= abandons + late answers),
 //   - answers-per-task >= effective redundancy for every non-starved task,

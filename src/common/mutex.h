@@ -4,11 +4,11 @@
 // Clang Thread Safety Analysis attributes (common/thread_annotations.h).
 // libstdc++'s std::mutex and std::lock_guard carry no capability attributes,
 // so code locking them is invisible to -Wthread-safety; these wrappers are
-// the one place raw std::mutex may appear in src/ (the `mutex-annotation`
-// cdb_lint rule and tools/cdb_analyze.py enforce that). Everything
-// mutex-protected declares its members CDB_GUARDED_BY(mu_) and the clang
-// build legs prove, at compile time, that no access happens outside the
-// lock.
+// the one place raw std::mutex may appear in src/ (cdb_lint's
+// `mutex-annotation` rule enforces that, and that each Mutex member is named
+// by a CDB_GUARDED_BY in its own class). Everything mutex-protected declares
+// its members CDB_GUARDED_BY(mu_) and the clang build legs prove, at compile
+// time, that no access happens outside the lock.
 //
 // The wrappers add no state and no behavior beyond annotation: Mutex is
 // std::mutex, MutexLock is std::lock_guard, CondVar is std::condition_variable

@@ -17,11 +17,11 @@
 // session shares the ledger — another debitor can drain the budget in the
 // gap. Spending therefore happens only through the two single-acquisition
 // primitives: TryDebit (partial grant: take what is left) and TrySpend
-// (all-or-nothing: exact amount or no spend). tools/cdb_analyze.py and the
-// thread-safety annotations below make this class the repo's reference
-// CDB_CAPABILITY pattern: every guarded member names its capability, public
-// entry points declare CDB_EXCLUDES(mutex_), and the shared locked core is
-// an AssertHeld-style CDB_REQUIRES helper.
+// (all-or-nothing: exact amount or no spend). cdb_lint's mutex-annotation
+// rule and the thread-safety annotations below make this class the repo's
+// reference CDB_CAPABILITY pattern: every guarded member names its
+// capability, public entry points declare CDB_EXCLUDES(mutex_), and the
+// shared locked core is an AssertHeld-style CDB_REQUIRES helper.
 #ifndef CDB_COST_LEDGER_H_
 #define CDB_COST_LEDGER_H_
 

@@ -18,8 +18,8 @@ namespace {
 // pattern for worker-local reduction state: chunks accumulate into a local
 // (unshared) buffer and fold it into the CDB_GUARDED_BY totals under the
 // struct's own mutex, so the guard relationship is a declared capability the
-// clang analysis (and tools/cdb_analyze.py) can check — not a free-floating
-// function-local mutex whose scope the analyzer cannot see.
+// clang analysis (and cdb_lint's mutex-annotation rule) can check — not a
+// free-floating function-local mutex that guards nothing it can name.
 struct OccurrenceReduction {
   explicit OccurrenceReduction(size_t num_edges) : totals(num_edges, 0) {}
 

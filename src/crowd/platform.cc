@@ -63,17 +63,16 @@ int CrowdPlatform::EffectiveRedundancy(const Task& task) const {
 void CrowdPlatform::ChargeForTasks(const std::vector<Task>& tasks) {
   const int64_t num_tasks = static_cast<int64_t>(tasks.size());
   stats_.tasks_published += num_tasks;
-  int64_t hits =
-      (num_tasks + options_.tasks_per_hit - 1) / options_.tasks_per_hit;
+  int64_t hits = (num_tasks + kTasksPerHit - 1) / kTasksPerHit;
   stats_.hits_published += hits;
-  const int64_t charge = hits * MicroDollars(options_.price_per_hit);
+  const int64_t charge = hits * MicroDollars(kPricePerHit);
   stats_.micro_dollars_spent += charge;
-  // HITs are packed in publish order, tasks_per_hit at a time; a HIT mixing
+  // HITs are packed in publish order, kTasksPerHit at a time; a HIT mixing
   // batch tags is a shared (multi-query) HIT.
   for (size_t start = 0; start < tasks.size();
-       start += static_cast<size_t>(options_.tasks_per_hit)) {
+       start += static_cast<size_t>(kTasksPerHit)) {
     size_t end = std::min(tasks.size(),
-                          start + static_cast<size_t>(options_.tasks_per_hit));
+                          start + static_cast<size_t>(kTasksPerHit));
     int first_tag = std::numeric_limits<int>::min();
     bool mixed = false;
     for (size_t i = start; i < end; ++i) {
@@ -164,7 +163,7 @@ Result<std::vector<Answer>> CrowdPlatform::CleanRound(
       }
       if (!available_ids.empty()) {
         std::vector<size_t> picks =
-            (*policy)(worker, available_ids, options_.tasks_per_request);
+            (*policy)(worker, available_ids, kTasksPerRequest);
         for (size_t p : picks) {
           CDB_CHECK(p < available_idx.size());
           chosen.push_back(available_idx[p]);
@@ -174,12 +173,12 @@ Result<std::vector<Answer>> CrowdPlatform::CleanRound(
       // Round-robin over needy tasks starting at the cursor.
       for (size_t step = 0;
            step < tasks.size() &&
-           chosen.size() < static_cast<size_t>(options_.tasks_per_request);
+           chosen.size() < static_cast<size_t>(kTasksPerRequest);
            ++step) {
         size_t ti = (cursor + step) % tasks.size();
         if (need[ti] > 0 && !worker_did(ti)) chosen.push_back(ti);
       }
-      cursor = (cursor + options_.tasks_per_request) % tasks.size();
+      cursor = (cursor + kTasksPerRequest) % tasks.size();
     }
 
     bool progressed = false;
@@ -409,7 +408,7 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
       open.resize(kept);
       if (!available_ids.empty()) {
         std::vector<size_t> picks =
-            (*policy)(worker, available_ids, options_.tasks_per_request);
+            (*policy)(worker, available_ids, kTasksPerRequest);
         for (size_t p : picks) {
           CDB_CHECK(p < available_idx.size());
           chosen.push_back(available_idx[p]);
@@ -418,12 +417,12 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     } else {
       for (size_t step = 0;
            step < tasks.size() &&
-           chosen.size() < static_cast<size_t>(options_.tasks_per_request);
+           chosen.size() < static_cast<size_t>(kTasksPerRequest);
            ++step) {
         size_t ti = (cursor + step) % tasks.size();
         if (leasable(ti)) chosen.push_back(ti);
       }
-      cursor = (cursor + options_.tasks_per_request) % tasks.size();
+      cursor = (cursor + kTasksPerRequest) % tasks.size();
     }
 
     bool granted = false;

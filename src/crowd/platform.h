@@ -78,15 +78,19 @@ struct FaultProfile {
   }
 };
 
+// Pricing and worker pull size, the same on every simulated market: tasks
+// are packed kTasksPerHit to a HIT at kPricePerHit dollars (10 tasks per $0.1
+// HIT), and an arriving worker takes up to kTasksPerRequest tasks.
+inline constexpr int kTasksPerHit = 10;
+inline constexpr double kPricePerHit = 0.1;
+inline constexpr int kTasksPerRequest = 5;
+
 struct PlatformOptions {
   std::string market_name = "SimAMT";
   int num_workers = 50;
   double worker_quality_mean = 0.8;   // q of N(q, 0.01) in the paper.
   double worker_quality_stddev = 0.1;  // sqrt(0.01).
   int redundancy = 5;                  // Answers per task (5 in the paper).
-  int tasks_per_hit = 10;              // Pricing: 10 tasks per $0.1 HIT.
-  double price_per_hit = 0.1;
-  int tasks_per_request = 5;           // Tasks a worker takes per arrival.
   bool requester_controls_assignment = true;
   uint64_t seed = 42;
   FaultProfile fault;
@@ -119,7 +123,7 @@ using TruthProvider = std::function<TaskTruth(const Task&)>;
 //                     + late_answers
 // (every lease delivers on time, delivers late, or is abandoned), and
 //   expiries <= abandons + late_answers,
-//   micro_dollars_spent == hits_published * MicroDollars(price_per_hit)
+//   micro_dollars_spent == hits_published * MicroDollars(kPricePerHit)
 //   (no double-spend).
 struct PlatformStats {
   int64_t tasks_published = 0;

@@ -9,21 +9,21 @@
 namespace cdb {
 namespace {
 
-// True when `agree_needed` of the answers are mutually similar at
-// `agree_similarity` — the CDB early-stop test, evaluated after every wave.
+// True when kFillAgreeNeeded of the answers are mutually similar at
+// kFillAgreeSimilarity — the CDB early-stop test, evaluated after every wave.
 bool FillAgreement(const std::vector<Answer>& answers,
                    const FillOptions& options) {
-  if (static_cast<int>(answers.size()) < options.agree_needed) return false;
+  if (static_cast<int>(answers.size()) < kFillAgreeNeeded) return false;
   for (size_t a = 0; a < answers.size(); ++a) {
     int similar = 0;
     for (size_t b = 0; b < answers.size(); ++b) {
       if (a == b) continue;
       if (ComputeSimilarity(options.sim_fn, answers[a].text,
-                            answers[b].text) >= options.agree_similarity) {
+                            answers[b].text) >= kFillAgreeSimilarity) {
         ++similar;
       }
     }
-    if (similar + 1 >= options.agree_needed) return true;
+    if (similar + 1 >= kFillAgreeNeeded) return true;
   }
   return false;
 }
@@ -76,7 +76,7 @@ CollectResult RunCollect(const CollectUniverse& universe,
     // The worker thinks of an entity, popularity-skewed.
     int64_t entity = rng.Zipf(n, universe.zipf_exponent);
     if (options.autocomplete && seen[entity] &&
-        rng.Bernoulli(options.avoid_duplicate_prob)) {
+        rng.Bernoulli(kAvoidDuplicateProb)) {
       // Autocompletion shows the value is already collected; the worker
       // contributes something else if they can think of one.
       std::vector<int64_t> unseen;
@@ -165,8 +165,7 @@ FillResult RunFill(const std::vector<FillTaskSpec>& specs,
   // First wave: with early stop on, ask only the agreement quorum; the
   // baseline pays the full redundancy in one round.
   const int first_wave =
-      options.early_stop ? std::min(options.agree_needed, redundancy)
-                         : redundancy;
+      options.early_stop ? std::min(kFillAgreeNeeded, redundancy) : redundancy;
   std::vector<Task> wave;
   wave.reserve(specs.size());
   for (const Task& task : base) {

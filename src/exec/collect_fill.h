@@ -8,7 +8,7 @@
 // workers frequently resubmit already-collected entities and waste budget.
 //
 // FILL asks the crowd for missing attribute values. CDB stops early when the
-// first `agree_needed` answers already agree (high pairwise similarity); the
+// first kFillAgreeNeeded answers already agree (high pairwise similarity); the
 // baseline always collects the full redundancy.
 #ifndef CDB_EXEC_COLLECT_FILL_H_
 #define CDB_EXEC_COLLECT_FILL_H_
@@ -36,12 +36,13 @@ struct CollectUniverse {
   double zipf_exponent = 0.8;  // Popularity skew of worker contributions.
 };
 
+// Probability a worker notices the autocomplete suggestion and picks a new
+// entity instead of re-submitting a collected one.
+inline constexpr double kAvoidDuplicateProb = 0.9;
+
 struct CollectOptions {
-  int64_t target_distinct = 100;  // Stop once this many entities collected.
-  bool autocomplete = true;       // CDB on, Deco-style baseline off.
-  // Probability a worker notices the autocomplete suggestion and picks a new
-  // entity instead of re-submitting a collected one.
-  double avoid_duplicate_prob = 0.9;
+  int64_t target_distinct = 100;    // Stop once this many entities collected.
+  bool autocomplete = true;         // CDB on, Deco-style baseline off.
   int64_t max_questions = 1000000;  // Safety valve (open world!).
   uint64_t seed = 11;
 };
@@ -69,11 +70,14 @@ struct FillTaskSpec {
   std::vector<std::string> wrong_pool;
 };
 
+// FILL's early stop: a cell stops once kFillAgreeNeeded of its answers agree
+// at pairwise similarity of at least kFillAgreeSimilarity.
+inline constexpr int kFillAgreeNeeded = 3;
+inline constexpr double kFillAgreeSimilarity = 0.8;
+
 struct FillOptions {
   int redundancy = 5;
   bool early_stop = true;      // CDB on, Deco-style baseline off.
-  int agree_needed = 3;        // Stop once this many answers agree...
-  double agree_similarity = 0.8;  // ...at at least this pairwise similarity.
   SimilarityFunction sim_fn = SimilarityFunction::kQGramJaccard;
   double worker_quality_mean = 0.8;
   double worker_quality_stddev = 0.1;

@@ -343,8 +343,7 @@ Result<bool> QuerySession::StepBatchRound() {
     round_edges_ = ordered_;
   } else {
     round_edges_ =
-        SelectParallelRound(graph_, *pruner_, ordered_, options_.latency_mode,
-                            options_.greedy_round_fraction);
+        SelectParallelRound(graph_, *pruner_, ordered_, options_.latency_mode);
   }
   result_.stats.selection_ms += timer.ElapsedMs();
   if (round_edges_.empty()) return Finish();
@@ -405,7 +404,7 @@ Result<bool> QuerySession::StepCollect() {
   ExecutionStats& stats = result_.stats;
   if (options_.retry.enabled) {
     const int effective_redundancy = publisher_->effective_redundancy();
-    for (int attempt = 1; attempt <= options_.retry.max_reposts; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxReposts; ++attempt) {
       (void)publisher_->TakeDeadLetters();  // Shortfall recomputed below.
       std::vector<Task> reposts;
       for (const Task& task : round_tasks_) {
@@ -424,9 +423,8 @@ Result<bool> QuerySession::StepCollect() {
         if (granted == 0) break;  // Flush partial: no budget to retry.
         reposts.resize(static_cast<size_t>(granted));
       }
-      int64_t backoff = std::min(
-          options_.retry.backoff_base_ticks << (attempt - 1),
-          options_.retry.backoff_max_ticks);
+      int64_t backoff = kBackoffBaseTicks << (attempt - 1);
+      backoff = std::min(backoff, kBackoffMaxTicks);
       publisher_->AdvanceTicks(backoff);
       Bump(metrics_.retry_waves);
       Bump(metrics_.backoff_ticks, backoff);

@@ -67,14 +67,16 @@ enum class CostMethod {
 // Requester-side robustness policy against an unreliable crowd (see
 // PlatformOptions::fault): when a round comes back short — tasks
 // dead-lettered by the platform or below the effective redundancy — the
-// Collect phase reposts the shortfall with capped exponential backoff (the
-// backoff advances the platform's virtual clock, modeling the requester
-// waiting before republishing).
+// Collect phase reposts the shortfall up to kMaxReposts times per round with
+// capped exponential backoff: kBackoffBaseTicks << (k - 1) ticks before
+// attempt k, at most kBackoffMaxTicks (the backoff advances the platform's
+// virtual clock, modeling the requester waiting before republishing).
+inline constexpr int kMaxReposts = 3;
+inline constexpr int64_t kBackoffBaseTicks = 2;
+inline constexpr int64_t kBackoffMaxTicks = 64;
+
 struct RetryOptions {
   bool enabled = true;
-  int max_reposts = 3;             // Repost attempts per round.
-  int64_t backoff_base_ticks = 2;  // Backoff before attempt k: base << (k-1),
-  int64_t backoff_max_ticks = 64;  // capped here.
 };
 
 // Answer propagation (ROADMAP item 3; graph/propagation.h): fold each
@@ -106,7 +108,6 @@ struct ExecutorOptions {
   CostMethod cost_method = CostMethod::kExpectation;
   bool quality_control = false;  // CDB+: EM inference + entropy assignment.
   LatencyMode latency_mode = LatencyMode::kVertexGreedy;
-  double greedy_round_fraction = 0.34;  // See SelectParallelRound.
   GraphOptions graph;
   PlatformOptions platform;
   // Cross-market deployment (Section 2.2): when non-empty, tasks are

@@ -177,8 +177,8 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
   std::vector<double> prior(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
     auto it = options.quality_priors.find(d.worker_ids[w]);
-    double q = it != options.quality_priors.end() ? it->second
-                                                  : options.initial_quality;
+    double q = kEmInitialQuality;
+    if (it != options.quality_priors.end()) q = it->second;
     quality[w] = q;
     prior[w] = q;
   }
@@ -225,11 +225,9 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
             }
             // MAP estimate with a Beta pseudo-count prior centered on the
             // worker's incoming quality.
-            double updated =
-                (options.prior_strength * prior[w] + expected_correct) /
-                (options.prior_strength +
-                 static_cast<double>(d.worker_begin[w + 1] -
-                                     d.worker_begin[w]));
+            const size_t answered = d.worker_begin[w + 1] - d.worker_begin[w];
+            double updated = (kEmPriorStrength * prior[w] + expected_correct) /
+                             (kEmPriorStrength + static_cast<double>(answered));
             // Keep qualities interior so Eq. 2 stays well defined.
             updated_quality[w] = std::clamp(updated, 0.05, 0.99);
           }
@@ -243,7 +241,7 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
     }
     ++iterations_run;
     last_max_delta = max_delta;
-    if (max_delta < options.tolerance) break;
+    if (max_delta < kEmTolerance) break;
   }
   if (options.metrics != nullptr) {
     MetricsRegistry& reg = *options.metrics;

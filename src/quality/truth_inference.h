@@ -40,18 +40,22 @@ struct InferenceResult {
   double Confidence(TaskId task) const;
 };
 
+// EM's fixed settings. A worker without a prior starts at kEmInitialQuality,
+// the paper's default prior for new workers. Iteration stops once no quality
+// moves by kEmTolerance. kEmPriorStrength is the Beta-prior pseudo-count
+// regularizing the M-step: a worker's quality is
+// (kEmPriorStrength * prior + expected_correct) / (kEmPriorStrength + n).
+// It keeps early rounds (few answers per worker) from over-fitting, where
+// unregularized EM can fall below majority voting.
+inline constexpr double kEmInitialQuality = 0.7;
+inline constexpr double kEmTolerance = 1e-6;
+inline constexpr double kEmPriorStrength = 8.0;
+
 struct EmOptions {
   int num_choices = 2;
-  double initial_quality = 0.7;  // The paper's default prior for new workers.
   int max_iterations = 50;
-  double tolerance = 1e-6;
-  // Beta-prior pseudo-count regularizing the M-step: a worker's quality is
-  // (prior_strength * prior + expected_correct) / (prior_strength + n).
-  // Keeps early rounds (few answers per worker) from over-fitting, where
-  // unregularized EM can fall below majority voting.
-  double prior_strength = 8.0;
   // Optional fixed priors per worker (e.g. qualities carried over from
-  // earlier rounds); missing workers start at initial_quality.
+  // earlier rounds); missing workers start at kEmInitialQuality.
   std::map<int, double> quality_priors;
   // Threads for the E-step (per-task posteriors are independent) and the
   // M-step per-worker sums: <= 0 uses all hardware threads, 1 runs serially.

@@ -137,8 +137,6 @@ TEST(PlatformTest, RedundancyCappedByWorkerCount) {
 TEST(PlatformTest, StatsAccumulate) {
   PlatformOptions options;
   options.redundancy = 3;
-  options.tasks_per_hit = 10;
-  options.price_per_hit = 0.1;
   CrowdPlatform platform(options, AlwaysYes());
   std::vector<Task> tasks;
   for (int i = 0; i < 25; ++i) tasks.push_back(YesNoTask(i));

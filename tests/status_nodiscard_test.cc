@@ -5,8 +5,9 @@
 // CDB_ASSIGN_OR_RETURN, ok() branches, explicit (void) discards) stay legal.
 // The negative half — that silently discarding a Status or Result<T> is a
 // compile error — cannot live in a .cc that must compile, so it runs as the
-// `cdb_nodiscard` ctest (tools/check_nodiscard.sh), a compile-fail probe
-// under -Werror=unused-result.
+// `cdb_nodiscard` ctest (the nodiscard probe of
+// tools/check_compile_probes.sh), a compile-fail probe under
+// -Werror=unused-result.
 //
 // The runtime tests below cover the logging satellite work: CDB_CHECK_MSG
 // accepting std::string, and the CDB_CHECK_{EQ,NE,LT,LE,GT,GE} macros
@@ -55,8 +56,8 @@ TEST(StatusNodiscardTest, SanctionedConsumptionPatternsCompileAndWork) {
 }
 
 TEST(StatusNodiscardTest, StatusAndResultCarryNodiscardSemantics) {
-  // The attribute itself is probed by tools/check_nodiscard.sh; here we pin
-  // down the API shape it protects.
+  // The attribute itself is probed by tools/check_compile_probes.sh; here we
+  // pin down the API shape it protects.
   static_assert(std::is_same_v<decltype(FailingStatus().ok()), bool>);
   static_assert(
       std::is_same_v<decltype(GoodResult().status()), const Status&>);

@@ -187,8 +187,6 @@ TEST(PlatformMirrorTest, RegistryIsAViewOverPlatformStats) {
   Tracer tracer;
   PlatformOptions options;
   options.redundancy = 3;
-  options.tasks_per_hit = 10;
-  options.price_per_hit = 0.1;
   options.fault.abandon_prob = 0.3;
   options.fault.straggler_prob = 0.2;
   options.fault.straggler_delay_ticks = 6;

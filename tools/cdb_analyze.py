@@ -4,21 +4,9 @@
 Where cdb_lint.py is token/regex-level (it cannot see through aliases, call
 graphs, or lock scopes), cdb_analyze parses every src/ translation unit with
 libclang, driven by the build's compile_commands.json, and enforces the
-structural half of the concurrency capability model:
-
-  unwrapped-std-sync      No field or local of type std::mutex /
-                          std::condition_variable outside common/mutex.h.
-                          libstdc++'s primitives carry no capability
-                          attributes, so clang's -Wthread-safety cannot see
-                          their acquisitions; cdb::Mutex / cdb::CondVar are
-                          the annotated wrappers.
-
-  unannotated-capability  Every cdb::Mutex field must guard something: at
-                          least one sibling field in the same record carries
-                          a CDB_GUARDED_BY / CDB_PT_GUARDED_BY naming it.
-                          A mutex that guards nothing is either dead weight
-                          or (worse) protecting data the annotations do not
-                          admit to.
+three concurrency checks that need types or call structure (the raw
+std::mutex ban and the every-Mutex-guards-something rule are cdb_lint's
+mutex-annotation):
 
   atomic-annotation       Every non-metrics std::atomic field carries a
                           CDB_GUARDED_BY annotation or an explicit
@@ -75,8 +63,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 SUPPRESS_RE = re.compile(r"//\s*cdb-analyze:\s*allow=([\w-]+)")
 
-# Paths (repo-relative, forward slashes) exempt per check.
-WRAPPER_HEADER = "src/common/mutex.h"
+# Paths (repo-relative, forward slashes) exempt from atomic-annotation.
 METRICS_PATHS = ("src/common/metrics.h", "src/common/metrics.cc")
 
 GUARD_ANNOTATIONS = ("CDB_GUARDED_BY", "CDB_PT_GUARDED_BY")
@@ -200,25 +187,15 @@ class TuAnalyzer:
 
     # -- checks -----------------------------------------------------------
 
-    STD_SYNC_RE = re.compile(
-        r"\bstd::(?:__1::)?(?:mutex|recursive_mutex|timed_mutex|"
-        r"shared_mutex|condition_variable(?:_any)?)\b")
     ATOMIC_RE = re.compile(r"\bstd::(?:__1::)?atomic\b")
     CDB_MUTEX_RE = re.compile(r"\bcdb::Mutex\b")
 
-    def check_field(self, cursor: Any, record: Any) -> None:
+    def check_field(self, cursor: Any) -> None:
         rel = self.rel_path(cursor)
         if rel is None:
             return
-        spelling = self.type_spelling(cursor)
-        if self.STD_SYNC_RE.search(spelling) and rel != WRAPPER_HEADER:
-            self.report(
-                cursor, "unwrapped-std-sync",
-                f"member '{cursor.spelling}' has unannotated type "
-                f"'{spelling}'; declare cdb::Mutex / cdb::CondVar from "
-                "common/mutex.h so -Wthread-safety sees the capability")
-            return
-        if self.ATOMIC_RE.search(spelling) and rel not in METRICS_PATHS:
+        if (self.ATOMIC_RE.search(self.type_spelling(cursor))
+                and rel not in METRICS_PATHS):
             if not any(a in self.decl_tokens(cursor) for a in GUARD_ANNOTATIONS):
                 self.report(
                     cursor, "atomic-annotation",
@@ -226,26 +203,6 @@ class TuAnalyzer:
                     "metrics primitives carries no CDB_GUARDED_BY; annotate "
                     "the capability that orders its writes, or suppress with "
                     "// cdb-analyze: allow=atomic-annotation <reason>")
-        if self.CDB_MUTEX_RE.search(spelling):
-            self._check_mutex_guards_something(cursor, record)
-
-    def _check_mutex_guards_something(self, mutex_field: Any,
-                                      record: Any) -> None:
-        kinds = self.cindex.CursorKind
-        name = mutex_field.spelling
-        for sibling in record.get_children():
-            if sibling.kind != kinds.FIELD_DECL or sibling == mutex_field:
-                continue
-            tokens = self.decl_tokens(sibling)
-            for annotation in GUARD_ANNOTATIONS:
-                m = re.search(annotation + r"\(\s*([\w.>\-]+)\s*\)", tokens)
-                if m and m.group(1) == name:
-                    return
-        self.report(
-            mutex_field, "unannotated-capability",
-            f"cdb::Mutex member '{name}' guards no sibling field; add "
-            f"CDB_GUARDED_BY({name}) to the state it protects (a capability "
-            "that admits to protecting nothing protects nothing)")
 
     PARALLEL_FOR_NAMES = ("ParallelFor", "ParallelForStatus")
 
@@ -361,15 +318,7 @@ class TuAnalyzer:
                 if node.is_definition():
                     record = node
             if node.kind == kinds.FIELD_DECL and record is not None:
-                self.check_field(node, record)
-            if (node.kind in (kinds.VAR_DECL,)
-                    and self.STD_SYNC_RE.search(self.type_spelling(node))
-                    and self.rel_path(node) not in (None, WRAPPER_HEADER)):
-                self.report(
-                    node, "unwrapped-std-sync",
-                    f"local/static '{node.spelling}' has unannotated type "
-                    f"'{self.type_spelling(node)}'; use cdb::Mutex / "
-                    "cdb::CondVar from common/mutex.h")
+                self.check_field(node)
             if node.kind == kinds.CALL_EXPR and \
                     node.spelling in self.PARALLEL_FOR_NAMES:
                 self.check_parallel_call(node)
@@ -451,8 +400,6 @@ def analyze_repo(cindex: Any, repo_root: str, build_dir: str) -> List[Finding]:
 
 FIXTURE_PRELUDE = """
 namespace std {
-class mutex { public: void lock(); void unlock(); };
-class condition_variable {};
 template <typename T> class atomic { public: T load() const; void store(T); };
 template <typename T> class function;
 template <typename R, typename... A> class function<R(A...)> {
@@ -476,47 +423,6 @@ void ParallelFor(long long b, long long e, long long g, const Fn& fn) {
 """
 
 SELF_TEST_CASES: List[Tuple[str, str, str, bool]] = [
-    ("raw std::mutex member", """
-namespace cdb {
-struct S { std::mutex mu_; };
-}  // namespace cdb
-""", "unwrapped-std-sync", True),
-    ("raw std::condition_variable member", """
-namespace cdb {
-struct S { std::condition_variable cv_; };
-}  // namespace cdb
-""", "unwrapped-std-sync", True),
-    ("cdb::Mutex member guarding a sibling is clean", """
-namespace cdb {
-struct S {
-  Mutex mu_;
-  int x_ CDB_GUARDED_BY(mu_) = 0;
-};
-}  // namespace cdb
-""", "unwrapped-std-sync", False),
-    ("suppressed raw mutex", """
-namespace cdb {
-struct S {
-  std::mutex mu_;  // cdb-analyze: allow=unwrapped-std-sync ffi shim
-};
-}  // namespace cdb
-""", "unwrapped-std-sync", False),
-    ("mutex guarding nothing", """
-namespace cdb {
-struct S {
-  Mutex mu_;
-  int x_ = 0;
-};
-}  // namespace cdb
-""", "unannotated-capability", True),
-    ("mutex with guarded sibling is clean", """
-namespace cdb {
-struct S {
-  Mutex mu_;
-  int x_ CDB_GUARDED_BY(mu_) = 0;
-};
-}  // namespace cdb
-""", "unannotated-capability", False),
     ("unannotated atomic member", """
 namespace cdb {
 struct S { std::atomic<long long> n_; };

@@ -70,9 +70,11 @@ contracts:
                           std::condition_variable are invisible to clang's
                           -Wthread-safety analysis (libstdc++ carries no
                           capability attributes). Files declaring a
-                          Mutex/CondVar must directly include common/mutex.h
-                          and carry at least one CDB_* capability annotation,
-                          so every mutex states what it guards.
+                          Mutex/CondVar must directly include common/mutex.h,
+                          and every Mutex member must be named by a
+                          CDB_GUARDED_BY / CDB_PT_GUARDED_BY in its own class
+                          or struct, so every mutex states what it guards.
+                          The repo's one structural mutex rule.
 
 Suppression: append  // cdb-lint: disable=<rule>  (with a reason) to the
 offending line. Suppressions without a rule name are invalid.
@@ -649,29 +651,63 @@ def check_flat_index_hot_path(path: str, text: str) -> List[Finding]:
 # --------------------------------------------------------------------------
 # Rule: mutex-annotation
 # --------------------------------------------------------------------------
-# The concurrency capability model (DESIGN.md): all locking in src/ goes
-# through the annotated wrappers in common/mutex.h, because libstdc++'s
-# std::mutex carries no capability attributes and is therefore invisible to
-# clang's -Wthread-safety analysis. Two sub-checks, src/ scope only (tests
-# may exercise raw primitives to test the pool itself):
-#   (1) no raw std::mutex / std::condition_variable outside common/mutex.h;
-#   (2) any file declaring a cdb Mutex/CondVar must directly include
-#       common/mutex.h (or common/thread_annotations.h) and carry at least
-#       one CDB_* capability annotation — a mutex with no declared guard
-#       relationship is unverifiable by both the clang analysis and
-#       tools/cdb_analyze.py.
+# The concurrency capability model (DESIGN.md): clang's -Wthread-safety
+# checks every access to a guarded member; this rule checks the structure it
+# cannot see. src/ scope only (tests may exercise raw primitives):
+#   (1) no raw std:: mutex or condition variable outside common/mutex.h
+#       (libstdc++'s carry no capability attributes, so clang cannot see them);
+#   (2) a file declaring a cdb Mutex/CondVar directly includes common/mutex.h
+#       (or common/thread_annotations.h);
+#   (3) every Mutex data member is named by a CDB_GUARDED_BY or
+#       CDB_PT_GUARDED_BY inside its own class or struct body.
 
 MUTEX_WRAPPER_HEADER = "src/common/mutex.h"
 RAW_SYNC_RE = re.compile(
-    r"\bstd\s*::\s*(?:recursive_|timed_|shared_)?mutex\b"
-    r"|\bstd\s*::\s*condition_variable(?:_any)?\b")
+    r"\bstd\s*::\s*(?:mutex|recursive_mutex|timed_mutex|shared_mutex"
+    r"|condition_variable|condition_variable_any)\b")
 WRAPPER_DECL_RE = re.compile(r"(?<![\w:])(?:cdb::)?(?:Mutex|CondVar)\s+[A-Za-z_]\w*")
-ANNOTATION_TOKEN_RE = re.compile(
-    r"\bCDB_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES(?:_SHARED)?"
-    r"|EXCLUDES|ACQUIRE(?:_SHARED)?|RELEASE(?:_SHARED)?|TRY_ACQUIRE"
-    r"|CAPABILITY|SCOPED_CAPABILITY|ASSERT_CAPABILITY)\b")
 MUTEX_INCLUDE_RE = re.compile(
     r'#\s*include\s+"common/(?:mutex|thread_annotations)\.h"')
+RECORD_KEYWORD_RE = re.compile(r"\b(?:class|struct)\b")
+BRACKETED_RE = re.compile(r"\([^()]*\)|<[^<>]*>")
+MUTEX_MEMBER_RE = re.compile(r"(?<![\w:])(?:cdb::)?Mutex\s+(\w+)\s*$")
+GUARD_RE = re.compile(r"\bCDB_(?:PT_)?GUARDED_BY\s*\(\s*(\w+)\s*\)")
+
+
+def unguarded_mutex_members(text: str) -> Iterator[Tuple[int, str]]:
+    """Yields (lineno, name) of each Mutex data member that no guard
+    annotation in its own class or struct body names.
+
+    Brace-depth scan over comment-stripped code: a '{' opens a record body
+    when the text since the previous ; { or } says class or struct outside
+    parentheses and template brackets. A guard counts for the innermost
+    record around it only."""
+    stack: List[Optional[Tuple[set, list]]] = []  # Per open '{'.
+    head = ""
+    for lineno, _raw, code in iter_code_lines(text):
+        for c in code + "\n":
+            if c not in "{};":
+                head += c
+                continue
+            records = [frame for frame in stack if frame is not None]
+            if records:
+                records[-1][0].update(GUARD_RE.findall(head))
+            if c == ";" and stack and stack[-1] is not None:
+                m = MUTEX_MEMBER_RE.search(head)
+                if m:
+                    stack[-1][1].append((lineno, m.group(1)))
+            elif c == "{":
+                bare, head = head, BRACKETED_RE.sub("", head)
+                while head != bare:
+                    bare, head = head, BRACKETED_RE.sub("", head)
+                stack.append((set(), []) if RECORD_KEYWORD_RE.search(head)
+                             else None)
+            elif c == "}" and stack:
+                frame = stack.pop()
+                if frame is not None:
+                    yield from ((n, name) for n, name in frame[1]
+                                if name not in frame[0])
+            head = ""
 
 
 def check_mutex_annotation(path: str, text: str) -> List[Finding]:
@@ -681,14 +717,12 @@ def check_mutex_annotation(path: str, text: str) -> List[Finding]:
     findings = []
     wrapper_decl_line = None
     has_include = False
-    has_annotation = False
+    raw_lines = text.splitlines()
     for lineno, raw, code in iter_code_lines(text):
         # Match the raw line: the include path is a string literal, which
         # iter_code_lines strips out of `code`.
         if MUTEX_INCLUDE_RE.search(raw):
             has_include = True
-        if ANNOTATION_TOKEN_RE.search(code):
-            has_annotation = True
         if suppressed(raw, "mutex-annotation"):
             continue
         if RAW_SYNC_RE.search(code):
@@ -701,20 +735,20 @@ def check_mutex_annotation(path: str, text: str) -> List[Finding]:
             continue
         if wrapper_decl_line is None and WRAPPER_DECL_RE.search(code):
             wrapper_decl_line = lineno
-    if wrapper_decl_line is not None:
-        if not has_include:
+    if wrapper_decl_line is not None and not has_include:
+        findings.append(Finding(
+            path, wrapper_decl_line, "mutex-annotation",
+            "declares a Mutex/CondVar but does not directly include "
+            'common/mutex.h; add #include "common/mutex.h" so the '
+            "capability types are not picked up transitively"))
+    for lineno, name in unguarded_mutex_members(text):
+        if not suppressed(raw_lines[lineno - 1], "mutex-annotation"):
             findings.append(Finding(
-                path, wrapper_decl_line, "mutex-annotation",
-                "declares a Mutex/CondVar but does not directly include "
-                'common/mutex.h; add #include "common/mutex.h" so the '
-                "capability types are not picked up transitively"))
-        elif not has_annotation:
-            findings.append(Finding(
-                path, wrapper_decl_line, "mutex-annotation",
-                "declares a Mutex but carries no CDB_* capability annotation; "
-                "state what the mutex guards (CDB_GUARDED_BY on the protected "
-                "members, CDB_EXCLUDES/CDB_REQUIRES on the entry points) — an "
-                "undeclared guard relationship is unverifiable"))
+                path, lineno, "mutex-annotation",
+                f"Mutex member '{name}' guards nothing in its class; add "
+                f"CDB_GUARDED_BY({name}) to the state it protects (a "
+                "capability that admits to protecting nothing protects "
+                "nothing)"))
     return findings
 
 
@@ -975,6 +1009,25 @@ SELF_TEST_CASES = [
      '#include "common/mutex.h"\n'
      "class S {\n  Mutex mu_;\n  int x_ = 0;\n};\n",
      "mutex-annotation", True),
+    ("mutex guarding nothing", "src/cost/c.h",
+     '#include "common/mutex.h"\n'
+     "struct S {\n  Mutex mu_;\n  int x_ = 0;\n};\n",
+     "mutex-annotation", True),
+    ("mutex with guarded sibling is clean", "src/cost/c.h",
+     '#include "common/mutex.h"\n'
+     "struct S {\n  Mutex mu_;\n  int x_ CDB_GUARDED_BY(mu_) = 0;\n};\n",
+     "mutex-annotation", False),
+    ("second record's mutex unguarded", "src/cost/c.h",
+     '#include "common/mutex.h"\n'
+     "class A {\n  Mutex mu_;\n  int x_ CDB_GUARDED_BY(mu_) = 0;\n};\n"
+     "class B {\n  Mutex mu_;\n  int y_ = 0;\n};\n",
+     "mutex-annotation", True),
+    ("guard on a continuation line, pointee guard", "src/cost/c.h",
+     '#include "common/mutex.h"\n'
+     "class R {\n private:\n  mutable cdb::Mutex mutex_;\n"
+     "  std::map<int, int> m_\n      CDB_GUARDED_BY(mutex_);\n"
+     "  Mutex other_;\n  int* p_ CDB_PT_GUARDED_BY(other_);\n};\n",
+     "mutex-annotation", False),
     ("MutexLock local alone needs no include", "src/cost/c.cc",
      "void F() { MutexLock lock(mu_); }\n",
      "mutex-annotation", False),
