@@ -3,8 +3,9 @@
 // sweep snapshots the session and registry, destroys both, rehydrates fresh
 // ones, runs to completion, and compares edge colors, MetricsDump, and the
 // full stats signature (PlatformStatsDump included) against the
-// uninterrupted run, clean and under a hostile FaultProfile, at 1 and 8
-// threads; (2) CdbService admits asynchronously with typed backpressure
+// uninterrupted run, clean and under a hostile FaultProfile, on one market
+// and on two, at 1 and 8 threads, and digests pin every snapshot byte of four
+// such runs; (2) CdbService admits asynchronously with typed backpressure
 // (bounded queue, per-tenant budgets), steps thousands of sessions
 // deterministically at any thread count, and checkpoints live sessions such
 // that a rebuilt service finishes them byte-identically.
@@ -101,6 +102,18 @@ ExecutorOptions HostileCrowd(uint64_t seed, int threads) {
 ExecutorOptions WithQualityControl(ExecutorOptions options) {
   options.quality_control = true;
   options.golden_tasks = 4;
+  return options;
+}
+
+// Cross-market deployment (Section 2.2): `options.platform` plus a
+// platform-controlled second market with its own seed, so the blob carries
+// two platform states and the answers carry offset worker ids.
+ExecutorOptions TwoMarkets(ExecutorOptions options) {
+  PlatformOptions flower = options.platform;
+  flower.market_name = "SimCrowdFlower";
+  flower.requester_controls_assignment = false;
+  flower.seed = options.platform.seed + 1;
+  options.markets = {options.platform, flower};
   return options;
 }
 
@@ -227,6 +240,83 @@ TEST_F(ServiceTest, CrashPointResumeSweepQualityControlHostile) {
   for (int threads : {1, 8}) {
     CrashPointSweep(&query_, WithQualityControl(HostileCrowd(32, threads)),
                     truth_, "qc-hostile threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ServiceTest, CrashPointResumeSweepTwoMarketsClean) {
+  for (int threads : {1, 8}) {
+    CrashPointSweep(&query_, TwoMarkets(CleanCrowd(33, threads)), truth_,
+                    "two-market clean threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ServiceTest, CrashPointResumeSweepTwoMarketsHostile) {
+  for (int threads : {1, 8}) {
+    CrashPointSweep(&query_, TwoMarkets(HostileCrowd(33, threads)), truth_,
+                    "two-market hostile threads=" + std::to_string(threads));
+  }
+}
+
+// Every Snapshot() blob of four runs stepped to completion, digested with
+// its length: one clean market; one hostile market whose retry policy finds
+// dead letters pending at kCollect; CDB+ with golden tasks and answer
+// propagation; two hostile markets. Any moved checkpoint byte fails it, and
+// the digests are the same at 1 and 8 threads.
+TEST_F(ServiceTest, SnapshotDigestsHold) {
+  ExecutorOptions dead_letters = HostileCrowd(34, 1);
+  dead_letters.platform.fault.abandon_prob = 0.5;
+  dead_letters.platform.fault.max_task_expiries = 1;
+  ExecutorOptions cdb_plus = WithQualityControl(CleanCrowd(35, 1));
+  cdb_plus.propagation.enabled = true;
+  struct Config {
+    const char* name;
+    ExecutorOptions options;
+    uint64_t want;
+  };
+  const Config configs[] = {
+      {"one clean market", CleanCrowd(34, 1), 0x01de5c53e6649eadULL},
+      {"one hostile market, dead letters", dead_letters,
+       0x28fa01025d3c816dULL},
+      {"cdb+ golden propagation", cdb_plus, 0xa9648aa525a21dfbULL},
+      {"two hostile markets", TwoMarkets(HostileCrowd(36, 1)),
+       0x98ed0d85ac064875ULL},
+  };
+  for (const Config& config : configs) {
+    for (int threads : {1, 8}) {
+      MetricsRegistry registry;
+      ExecutorOptions options = config.options;
+      options.num_threads = threads;
+      options.graph.num_threads = threads;
+      options.metrics = &registry;
+      QuerySession session(&query_, options, truth_);
+      testing_util::BitDigest digest;
+      auto add_blob = [&digest](const std::string& blob) {
+        digest.Add(static_cast<int64_t>(blob.size()));
+        digest.Add(blob);
+      };
+      Counter& dead_lettered = registry.counter("crowd.dead_lettered");
+      bool dead_letters_pending_at_collect = false;
+      add_blob(session.Snapshot());
+      while (true) {
+        const SessionPhase entry = session.phase();
+        const int64_t dead_before = dead_lettered.Value();
+        Result<bool> more = session.Step();
+        ASSERT_TRUE(more.ok()) << config.name << ": "
+                               << more.status().ToString();
+        if (entry == SessionPhase::kPublish &&
+            dead_lettered.Value() > dead_before) {
+          dead_letters_pending_at_collect = true;
+        }
+        add_blob(session.Snapshot());
+        if (!more.value()) break;
+      }
+      if (&config == &configs[1]) {
+        EXPECT_TRUE(dead_letters_pending_at_collect) << config.name;
+      }
+      EXPECT_EQ(digest.value(), config.want)
+          << config.name << " threads=" << threads << ": got 0x" << std::hex
+          << digest.value();
+    }
   }
 }
 
