@@ -1,5 +1,5 @@
 // Multi-query execution: the five Table-4 queries over the paper dataset,
-// run sequentially (one CdbExecutor per query, each with a private crowd
+// run sequentially (one QuerySession per query, each with a private crowd
 // platform) versus concurrently through MultiQueryScheduler (one shared
 // platform, rounds merged into shared HITs, identical tasks asked once and
 // fanned out). The queries overlap heavily — 3J contains 2J's join, the
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   PlatformStats solo_platform{};
   for (const auto& w : workloads) {
     ExecutionResult result =
-        CdbExecutor(&w->query, options, w->truth).Run().value();
+        QuerySession(&w->query, options, w->truth).RunToCompletion().value();
     solo_platform.tasks_published += result.stats.platform.tasks_published;
     solo_platform.answers_collected += result.stats.platform.answers_collected;
     solo_platform.hits_published += result.stats.platform.hits_published;

@@ -10,7 +10,7 @@
 #include "bench_util/table_printer.h"
 #include "cql/parser.h"
 #include "datagen/paper_dataset.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 using namespace cdb;
 
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     options.budget = query.budget;  // Plan generation honors the CQL budget.
     options.platform.worker_quality_mean = 0.95;
     EdgeTruthFn truth = MakeEdgeTruth(&dataset, &query);
-    CdbExecutor executor(&query, options, truth);
-    ExecutionResult result = executor.Run().value();
+    QuerySession session(&query, options, truth);
+    ExecutionResult result = session.RunToCompletion().value();
     PrecisionRecall pr = ComputeF1(result.answers, TrueAnswers(dataset, query));
     printer.AddRow({std::to_string(budget),
                     std::to_string(result.stats.tasks_asked),

@@ -26,7 +26,6 @@
 #include "common/string_util.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
 #include "exec/session.h"
 
 using namespace cdb;
@@ -88,8 +87,8 @@ void RunSelect(GeneratedDataset& db, const SelectStatement& stmt) {
   ResolvedQuery query = std::move(analyzed).value();
   ExecutorOptions options = ShellOptions(query);
   EdgeTruthFn truth = MakeEdgeTruth(&db, &query);
-  CdbExecutor executor(&query, options, truth);
-  Result<ExecutionResult> run = executor.Run();
+  QuerySession session(&query, options, truth);
+  Result<ExecutionResult> run = session.RunToCompletion();
   if (!run.ok()) {
     std::printf("error: %s\n", run.status().ToString().c_str());
     return;

@@ -8,7 +8,7 @@
 #include "bench_util/metrics.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 using namespace cdb;
 
@@ -38,8 +38,8 @@ int main() {
   ExecutorOptions options;
   options.platform.worker_quality_mean = 0.95;
   EdgeTruthFn truth = MakeEdgeTruth(&dataset, &query);
-  CdbExecutor executor(&query, options, truth);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query, options, truth);
+  ExecutionResult result = session.RunToCompletion().value();
 
   // 5. Report.
   std::printf("crowd statistics: %lld tasks, %lld rounds, %lld worker answers, $%.2f\n\n",

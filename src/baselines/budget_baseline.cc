@@ -57,7 +57,7 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
   ExecutionResult result;
   ExecutionStats& stats = result.stats;
 
-  PlatformPublisher publisher(options_.platform, [this](const Task& task) {
+  PlatformPublisher publisher({options_.platform}, [this](const Task& task) {
     TaskTruth truth;
     truth.correct_choice =
         truth_(graph_, static_cast<EdgeId>(task.payload)) ? 0 : 1;

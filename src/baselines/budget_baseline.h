@@ -6,7 +6,7 @@
 #ifndef CDB_BASELINES_BUDGET_BASELINE_H_
 #define CDB_BASELINES_BUDGET_BASELINE_H_
 
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 

@@ -33,7 +33,7 @@ Result<ExecutionResult> ErJoinExecutor::Run() {
   ExecutionResult result;
   ExecutionStats& stats = result.stats;
 
-  PlatformPublisher publisher(options_.platform, [this](const Task& task) {
+  PlatformPublisher publisher({options_.platform}, [this](const Task& task) {
     TaskTruth truth;
     truth.correct_choice =
         truth_(graph_, static_cast<EdgeId>(task.payload)) ? 0 : 1;

@@ -15,7 +15,7 @@
 #define CDB_BASELINES_ER_JOIN_H_
 
 #include "baselines/join_order.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 

@@ -7,7 +7,7 @@
 #define CDB_BASELINES_TREE_EXECUTOR_H_
 
 #include "baselines/join_order.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 

@@ -9,7 +9,7 @@
 
 #include "cql/analyzer.h"
 #include "datagen/dataset.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 

@@ -5,7 +5,7 @@
 #include "baselines/tree_executor.h"
 #include "common/logging.h"
 #include "cql/parser.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 
@@ -96,7 +96,7 @@ Result<ExecutionResult> RunOnce(Method method, const ResolvedQuery& query,
       options.graph.num_threads = config.num_threads;
       options.metrics = config.metrics;
       options.tracer = config.tracer;
-      return CdbExecutor(&query, options, truth).Run();
+      return QuerySession(&query, options, truth).RunToCompletion();
     }
   }
   return Status::InvalidArgument("unknown method");

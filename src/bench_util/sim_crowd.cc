@@ -52,8 +52,8 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
   options.tracer = config.tracer;
 
   EdgeTruthFn truth = MakeEdgeTruth(&dataset, &query);
-  CdbExecutor executor(&query, options, truth);
-  CDB_ASSIGN_OR_RETURN(ExecutionResult result, executor.Run());
+  QuerySession session(&query, options, truth);
+  CDB_ASSIGN_OR_RETURN(ExecutionResult result, session.RunToCompletion());
 
   SimCrowdReport report;
   report.result = result;
@@ -63,7 +63,7 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
   std::vector<std::string>* v = &report.violations;
 
   // Canonical edge-color dump (the graph's edge order is deterministic).
-  const QueryGraph& graph = executor.graph();
+  const QueryGraph& graph = session.graph();
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     char line[32];
     char c = graph.edge(e).color == EdgeColor::kBlue
@@ -174,7 +174,6 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
   // mutually inconsistent before any deduction happens. ---
   if (config.propagation.enabled && config.worker_quality_mean == 1.0 &&
       config.worker_quality_stddev == 0.0) {
-    const QuerySession& session = executor.session();
     std::map<int, MatchClusters> domains;
     auto domain = [&](int pred) -> MatchClusters& {
       return domains.try_emplace(pred, graph.num_vertices()).first->second;

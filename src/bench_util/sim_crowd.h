@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 
 namespace cdb {
 

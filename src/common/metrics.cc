@@ -1,46 +1,12 @@
 #include "common/metrics.h"
 
 #include <cstdio>
-#include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/serialize.h"
 
 namespace cdb {
-namespace {
-
-// Shard picked by thread-id hash: stable per thread, spreads contending
-// threads across cache lines. Which shard a thread lands on never affects
-// Value() — the fold is an integer sum.
-size_t ShardIndex() {
-  static thread_local const size_t index =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      Counter::kNumShards;
-  return index;
-}
-
-}  // namespace
-
-void Counter::Increment(int64_t delta) {
-  shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
-}
-
-int64_t Counter::Value() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset(int64_t value) {
-  for (Shard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
-  shards_[0].value.store(value, std::memory_order_relaxed);
-}
 
 int Histogram::BucketFor(int64_t value) {
   if (value <= 0) return 0;

@@ -2,15 +2,15 @@
 // the paper's evaluation is built on (tasks, rounds, HITs, dollars, EM
 // iterations). Three metric types, all integer-valued:
 //
-//   Counter    monotonic adds; thread-safe via sharded atomics. The fold over
-//              shards is an integer sum, which is commutative and associative,
-//              so Value() is bit-identical no matter which threads incremented
-//              which shard — the registry stays inside the repo's
-//              parallel == serial determinism contract.
+//   Counter    monotonic adds; thread-safe via one relaxed atomic. Integer
+//              addition is commutative and associative, so Value() is
+//              bit-identical in any increment interleaving — the registry
+//              stays inside the repo's parallel == serial determinism
+//              contract.
 //   Gauge      last-write-wins level (e.g. the EM convergence delta). Must be
 //              set from deterministic (serial-driver) code.
 //   Histogram  power-of-two buckets over non-negative integers, built from
-//              sharded counters.
+//              counters.
 //
 // Values are integers only: floating-point sums depend on accumulation order
 // and would break the byte-compared dumps. Fractional quantities are scaled
@@ -48,28 +48,28 @@
 
 namespace cdb {
 
-// Monotonic counter. Increment() is lock-free and thread-safe; Value() folds
-// the shards with an integer sum, so concurrent increments from any thread
-// interleaving produce the same total.
+// Monotonic counter. Increment() is lock-free and thread-safe, and
+// concurrent increments from any thread interleaving produce the same total.
+// One atomic, not per-thread shards: counters grow once per public call
+// (StatsMirror), per sim-join chunk or per EM run, never per event, so there
+// is no contention to spread.
 class Counter {
  public:
-  static constexpr size_t kNumShards = 16;
+  void Increment(int64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] int64_t Value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
-  void Increment(int64_t delta = 1);
-  [[nodiscard]] int64_t Value() const;
-
-  // Snapshot-restore hook: forces the folded value to `value` (shard 0 takes
-  // it all). NOT part of the monotonic contract and not safe against
-  // concurrent Increment(); call only on a quiescent registry (the
-  // checkpoint/restore path runs before any session steps again).
-  void Reset(int64_t value);
+  // Snapshot-restore hook: forces the value to `value`. NOT part of the
+  // monotonic contract and not safe against concurrent Increment(); call
+  // only on a quiescent registry (the checkpoint/restore path runs before
+  // any session steps again).
+  void Reset(int64_t value) { value_.store(value, std::memory_order_relaxed); }
 
  private:
-  // One cache line per shard; a thread picks its shard by thread-id hash.
-  struct alignas(64) Shard {
-    std::atomic<int64_t> value{0};
-  };
-  std::array<Shard, kNumShards> shards_{};
+  std::atomic<int64_t> value_{0};
 };
 
 // Last-write-wins level. Unlike Counter there is no commutative fold, so a
@@ -151,7 +151,7 @@ class MetricsRegistry {
   // mutex_ guards registration (map mutation) and the dump walks. The
   // pointed-to metrics are deliberately NOT guarded: handle addresses are
   // stable for the registry's lifetime and the metric types are internally
-  // thread-safe (sharded/relaxed atomics), which is what makes cached
+  // thread-safe (relaxed atomics), which is what makes cached
   // Counter* increments lock-free.
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_

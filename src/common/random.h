@@ -75,10 +75,6 @@ class Rng {
     }
   }
 
-  // Splits off an independent child generator; deterministic given the
-  // parent's state.
-  Rng Fork() { return Rng(engine_()); }
-
   std::mt19937_64& engine() { return engine_; }
 
   // Session-snapshot support: the full engine state as the standard's

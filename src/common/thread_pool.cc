@@ -129,25 +129,4 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   }
 }
 
-Status ParallelForStatus(
-    int64_t begin, int64_t end, int64_t grain,
-    const std::function<Status(int64_t, int64_t, int)>& fn, int num_threads) {
-  if (end <= begin) return Status::Ok();
-  grain = std::max<int64_t>(grain, 1);
-  const int64_t num_chunks = (end - begin + grain - 1) / grain;
-  // One slot per chunk: no cross-thread contention, and scanning in chunk
-  // order afterwards makes the reported error deterministic.
-  std::vector<Status> statuses(static_cast<size_t>(num_chunks));
-  ParallelFor(
-      begin, end, grain,
-      [&](int64_t lo, int64_t hi, int chunk) {
-        statuses[static_cast<size_t>(chunk)] = fn(lo, hi, chunk);
-      },
-      num_threads);
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::Ok();
-}
-
 }  // namespace cdb

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace cdb {
@@ -86,14 +85,6 @@ int ResolveNumThreads(int num_threads);
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t, int)>& fn,
                  int num_threads = 0);
-
-// As ParallelFor, but each chunk returns a Status. Returns the non-OK Status
-// of the lowest-indexed failing chunk (all chunks run to completion either
-// way, matching the no-exceptions library convention), or OK.
-Status ParallelForStatus(
-    int64_t begin, int64_t end, int64_t grain,
-    const std::function<Status(int64_t, int64_t, int)>& fn,
-    int num_threads = 0);
 
 }  // namespace cdb
 

@@ -629,27 +629,30 @@ void CrowdPlatform::AdvanceTicks(int64_t ticks) {
   mirror_.Publish(stats_);
 }
 
-MultiMarket::MultiMarket(std::vector<PlatformOptions> markets,
-                         TruthProvider truth) {
+PlatformPublisher::PlatformPublisher(
+    const std::vector<PlatformOptions>& markets, const TruthProvider& truth) {
   CDB_CHECK(!markets.empty());
-  platforms_.reserve(markets.size());
-  for (auto& options : markets) {
-    platforms_.emplace_back(options, truth);
+  markets_.reserve(markets.size());
+  for (const PlatformOptions& options : markets) {
+    markets_.emplace_back(options, truth);
   }
 }
 
-Result<std::vector<Answer>> MultiMarket::ExecuteRound(
+Result<std::vector<Answer>> PlatformPublisher::Publish(
     const std::vector<Task>& tasks, const AssignmentPolicy* policy,
     const AnswerObserver* observer) {
-  // Partition tasks round-robin across markets and merge the answers with
-  // per-market worker-id offsets.
-  std::vector<std::vector<Task>> partitions(platforms_.size());
+  // One market holds the one partition at offset 0: the partition loop
+  // would run exactly this round.
+  if (markets_.size() == 1) {
+    return markets_[0].ExecuteRound(tasks, policy, observer);
+  }
+  std::vector<std::vector<Task>> partitions(markets_.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
-    partitions[i % platforms_.size()].push_back(tasks[i]);
+    partitions[i % markets_.size()].push_back(tasks[i]);
   }
   std::vector<Answer> merged;
-  for (size_t m = 0; m < platforms_.size(); ++m) {
-    const int offset = worker_id_offset(m);
+  for (size_t m = 0; m < markets_.size(); ++m) {
+    const int offset = static_cast<int>(m) * kWorkerIdStride;
     // The policy sees each worker under the id its answers carry, so a
     // quality estimate keyed by that id is read for the right worker.
     AssignmentPolicy offset_policy = [&](const SimulatedWorker& worker,
@@ -659,15 +662,13 @@ Result<std::vector<Answer>> MultiMarket::ExecuteRound(
                        available, count);
     };
     AnswerObserver offset_observer = [&](const Answer& a) {
-      if (observer != nullptr) {
-        Answer shifted = a;
-        shifted.worker += offset;
-        (*observer)(shifted);
-      }
+      Answer shifted = a;
+      shifted.worker += offset;
+      (*observer)(shifted);
     };
     CDB_ASSIGN_OR_RETURN(
         std::vector<Answer> part,
-        platforms_[m].ExecuteRound(
+        markets_[m].ExecuteRound(
             partitions[m], policy != nullptr ? &offset_policy : nullptr,
             observer != nullptr ? &offset_observer : nullptr));
     for (Answer& a : part) {
@@ -678,11 +679,11 @@ Result<std::vector<Answer>> MultiMarket::ExecuteRound(
   return merged;
 }
 
-std::vector<Answer> MultiMarket::TakeLateAnswers() {
-  std::vector<Answer> merged;
-  for (size_t m = 0; m < platforms_.size(); ++m) {
-    const int offset = worker_id_offset(m);
-    for (Answer& a : platforms_[m].TakeLateAnswers()) {
+std::vector<Answer> PlatformPublisher::TakeLateAnswers() {
+  std::vector<Answer> merged = markets_[0].TakeLateAnswers();  // Offset 0.
+  for (size_t m = 1; m < markets_.size(); ++m) {
+    const int offset = static_cast<int>(m) * kWorkerIdStride;
+    for (Answer& a : markets_[m].TakeLateAnswers()) {
       a.worker += offset;
       merged.push_back(std::move(a));
     }
@@ -690,48 +691,55 @@ std::vector<Answer> MultiMarket::TakeLateAnswers() {
   return merged;
 }
 
-std::vector<TaskId> MultiMarket::TakeDeadLetters() {
-  std::vector<TaskId> merged;
-  for (CrowdPlatform& platform : platforms_) {
-    for (TaskId id : platform.TakeDeadLetters()) merged.push_back(id);
-  }
-  std::sort(merged.begin(), merged.end());
-  return merged;
+void PlatformPublisher::DropDeadLetters() {
+  for (CrowdPlatform& market : markets_) (void)market.TakeDeadLetters();
 }
 
-void MultiMarket::AdvanceTicks(int64_t ticks) {
-  for (CrowdPlatform& platform : platforms_) platform.AdvanceTicks(ticks);
+void PlatformPublisher::AdvanceTicks(int64_t ticks) {
+  for (CrowdPlatform& market : markets_) market.AdvanceTicks(ticks);
 }
 
-void MultiMarket::SnapshotState(ByteWriter& writer) const {
-  writer.PutU32(static_cast<uint32_t>(platforms_.size()));
-  for (const CrowdPlatform& platform : platforms_) {
-    platform.SnapshotState(writer);
+int PlatformPublisher::effective_redundancy() const {
+  int lowest = std::numeric_limits<int>::max();
+  for (const CrowdPlatform& market : markets_) {
+    lowest = std::min(lowest,
+                      std::min(market.options().redundancy,
+                               static_cast<int>(market.workers().size())));
   }
+  return lowest;
 }
 
-Status MultiMarket::RestoreState(ByteReader& reader) {
-  uint32_t n = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  if (n != platforms_.size()) {
-    return Status::FailedPrecondition(
-        "multi-market snapshot has " + std::to_string(n) +
-        " markets, deployment has " + std::to_string(platforms_.size()));
-  }
-  for (CrowdPlatform& platform : platforms_) {
-    CDB_RETURN_IF_ERROR(platform.RestoreState(reader));
-  }
-  return Status::Ok();
-}
-
-PlatformStats MultiMarket::CombinedStats() const {
-  PlatformStats total;
-  for (const CrowdPlatform& platform : platforms_) {
+PlatformStats PlatformPublisher::stats() const {
+  PlatformStats total = markets_[0].stats();
+  for (size_t m = 1; m < markets_.size(); ++m) {
     for (const StatField<PlatformStats>& row : kPlatformStatFields) {
-      total.*row.field += platform.stats().*row.field;
+      total.*row.field += markets_[m].stats().*row.field;
     }
   }
   return total;
+}
+
+void PlatformPublisher::SnapshotState(ByteWriter& writer) const {
+  const bool one_market = markets_.size() == 1;
+  writer.PutBool(one_market);
+  if (!one_market) writer.PutU32(static_cast<uint32_t>(markets_.size()));
+  for (const CrowdPlatform& market : markets_) market.SnapshotState(writer);
+}
+
+Status PlatformPublisher::RestoreState(ByteReader& reader) {
+  bool one_market = false;
+  CDB_RETURN_IF_ERROR(reader.GetBool(&one_market));
+  uint32_t n = 1;
+  if (!one_market) CDB_RETURN_IF_ERROR(reader.GetU32(&n));
+  if (n != markets_.size()) {
+    return Status::FailedPrecondition(
+        "platform snapshot has " + std::to_string(n) +
+        " markets, deployment has " + std::to_string(markets_.size()));
+  }
+  for (CrowdPlatform& market : markets_) {
+    CDB_RETURN_IF_ERROR(market.RestoreState(reader));
+  }
+  return Status::Ok();
 }
 
 }  // namespace cdb

@@ -154,7 +154,7 @@ struct PlatformStats {
 
 // Every PlatformStats field, in declaration order, under the name of its
 // `crowd.<name>` counter. The one list of the fields: it also drives
-// PlatformStatsDump, MultiMarket::CombinedStats and the snapshot encoding.
+// PlatformStatsDump, PlatformPublisher::stats and the snapshot encoding.
 inline constexpr StatField<PlatformStats> kPlatformStatFields[] = {
     {"tasks_published", &PlatformStats::tasks_published},
     {"answers_collected", &PlatformStats::answers_collected},
@@ -191,11 +191,11 @@ void SnapshotPlatformStats(ByteWriter& writer, const PlatformStats& stats);
 Status RestorePlatformStats(ByteReader& reader, PlatformStats* stats);
 
 // Thread affinity: driver-serial. The simulator is stepped only by the one
-// publish path (session/scheduler channel, enforced by the
-// single-publish-path lint rule) on the driver thread; it owns no locks and
-// its sequential rng_ draws assume un-interleaved access. Any future
-// concurrent platform must wrap shared state in cdb::Mutex capabilities
-// (common/mutex.h) so the thread-safety analysis sees it.
+// publish path (PlatformPublisher, enforced by the single-publish-path lint
+// rule) on the driver thread; it owns no locks and its sequential rng_ draws
+// assume un-interleaved access. Any future concurrent platform must wrap
+// shared state in cdb::Mutex capabilities (common/mutex.h) so the
+// thread-safety analysis sees it.
 class CrowdPlatform {
  public:
   CrowdPlatform(const PlatformOptions& options, TruthProvider truth);
@@ -278,36 +278,62 @@ class CrowdPlatform {
   std::map<TaskId, int64_t> delivered_per_task_;
 };
 
-// Cross-market deployment (Section 2.2 "task deployment"): a set of
-// simulated markets; tasks are partitioned across them round-robin and the
-// answers merged. Worker ids are offset per market so they stay unique; the
-// assignment policy and the answer observer see the offset ids as well.
-class MultiMarket {
+// Where a session's crowd traffic goes. Publish() blocks until the round
+// resolves and returns the on-time answers; the remaining calls mirror the
+// CrowdPlatform fault-layer surface.
+class TaskPublisher {
  public:
-  explicit MultiMarket(std::vector<PlatformOptions> markets, TruthProvider truth);
+  virtual ~TaskPublisher() = default;
 
-  Result<std::vector<Answer>> ExecuteRound(
-      const std::vector<Task>& tasks, const AssignmentPolicy* policy = nullptr,
-      const AnswerObserver* observer = nullptr);
+  virtual Result<std::vector<Answer>> Publish(
+      const std::vector<Task>& tasks, const AssignmentPolicy* policy,
+      const AnswerObserver* observer) = 0;
+  virtual std::vector<Answer> TakeLateAnswers() = 0;
+  // Empties the dead-letter queue. The requester recomputes each round's
+  // shortfall from the answers it holds, so it reads no dead letter.
+  virtual void DropDeadLetters() = 0;
+  virtual void AdvanceTicks(int64_t ticks) = 0;
+  // The redundancy a task can actually reach: the configured redundancy
+  // capped by the worker-pool size (min across markets for a deployment).
+  virtual int effective_redundancy() const = 0;
+  virtual PlatformStats stats() const = 0;
+};
 
-  // Fault-layer passthroughs, merged across markets (worker ids offset).
-  std::vector<Answer> TakeLateAnswers();
-  std::vector<TaskId> TakeDeadLetters();
-  void AdvanceTicks(int64_t ticks);
-
-  const std::vector<CrowdPlatform>& platforms() const { return platforms_; }
-  PlatformStats CombinedStats() const;
-
-  // Per-market snapshot/restore (see CrowdPlatform::SnapshotState).
-  void SnapshotState(ByteWriter& writer) const;
-  Status RestoreState(ByteReader& reader);
-  // Worker-id offset applied to market `m`.
-  int worker_id_offset(size_t m) const { return static_cast<int>(m) * kWorkerIdStride; }
-
+// The crowd deployment (Section 2.2 "task deployment"): one simulated market
+// or several, and the only caller of CrowdPlatform::ExecuteRound (the
+// `single-publish-path` lint rule enforces this). With several markets each
+// round's tasks are dealt round-robin across them and the answers merged;
+// market m's worker ids are offset by m * kWorkerIdStride so they stay
+// unique, and the assignment policy and the answer observer see the offset
+// ids as well. Market 0's offset is 0, so a one-market round goes straight
+// to that market with the caller's tasks, policy and observer.
+class PlatformPublisher : public TaskPublisher {
+ public:
   static constexpr int kWorkerIdStride = 1000000;
 
+  // `markets` must be non-empty.
+  PlatformPublisher(const std::vector<PlatformOptions>& markets,
+                    const TruthProvider& truth);
+
+  Result<std::vector<Answer>> Publish(const std::vector<Task>& tasks,
+                                      const AssignmentPolicy* policy,
+                                      const AnswerObserver* observer) override;
+  std::vector<Answer> TakeLateAnswers() override;
+  void DropDeadLetters() override;
+  void AdvanceTicks(int64_t ticks) override;
+  int effective_redundancy() const override;
+  // Summed across markets.
+  PlatformStats stats() const override;
+
+  // Snapshot/restore of every market's cross-round state (see
+  // CrowdPlatform::SnapshotState). The layout opens with a shape byte: 1
+  // for one market, followed by its state; 0 for several, followed by the
+  // market count and each market's state.
+  void SnapshotState(ByteWriter& writer) const;
+  Status RestoreState(ByteReader& reader);
+
  private:
-  std::vector<CrowdPlatform> platforms_;
+  std::vector<CrowdPlatform> markets_;
 };
 
 }  // namespace cdb

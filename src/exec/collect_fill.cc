@@ -51,7 +51,7 @@ CollectResult RunCollect(const CollectUniverse& universe,
   popt.market_name = "SimCollect";
   popt.redundancy = 1;  // One contribution per COLLECT question.
   popt.seed = options.seed;
-  PlatformPublisher publisher(popt, [&truths](const Task& task) {
+  PlatformPublisher publisher({popt}, [&truths](const Task& task) {
     return truths[static_cast<size_t>(task.id)];
   });
 
@@ -149,7 +149,7 @@ FillResult RunFill(const std::vector<FillTaskSpec>& specs,
   popt.worker_quality_stddev = options.worker_quality_stddev;
   popt.redundancy = options.redundancy;
   popt.seed = options.seed;
-  PlatformPublisher publisher(popt, [&truths](const Task& task) {
+  PlatformPublisher publisher({popt}, [&truths](const Task& task) {
     return truths[static_cast<size_t>(task.id)];
   });
 

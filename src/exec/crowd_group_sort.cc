@@ -60,7 +60,7 @@ CrowdGroupResult CrowdGroupBy(const std::vector<std::string>& values,
 
   // Tasks are identified by their index in `pairs`. All rounds go through
   // the session publish path.
-  PlatformPublisher publisher(options.platform, [&](const Task& task) {
+  PlatformPublisher publisher({options.platform}, [&](const Task& task) {
     const SimPair& pair = pairs[static_cast<size_t>(task.payload)];
     TaskTruth t;
     t.correct_choice = truth(static_cast<size_t>(pair.left),
@@ -182,7 +182,7 @@ CrowdSortResult CrowdOrderBy(size_t n, const CrowdSortOptions& options,
     size_t right;
   };
   std::vector<PendingComparison> pending;
-  PlatformPublisher publisher(options.platform, [&](const Task& task) {
+  PlatformPublisher publisher({options.platform}, [&](const Task& task) {
     const PendingComparison& cmp = pending[static_cast<size_t>(task.payload)];
     TaskTruth t;
     t.correct_choice = truth(cmp.left, cmp.right) ? 0 : 1;

@@ -91,8 +91,8 @@ Result<StatementResult> Database::RunSelect(const SelectStatement& stmt) {
   ExecutorOptions executor_options = options_.executor;
   if (query.budget) executor_options.budget = query.budget;
   EdgeTruthFn truth = OracleEdgeTruth(oracle_, &query);
-  CdbExecutor executor(&query, executor_options, truth);
-  CDB_ASSIGN_OR_RETURN(ExecutionResult run, executor.Run());
+  QuerySession session(&query, executor_options, truth);
+  CDB_ASSIGN_OR_RETURN(ExecutionResult run, session.RunToCompletion());
 
   StatementResult result;
   result.stats = run.stats;

@@ -17,7 +17,7 @@
 
 #include "common/status.h"
 #include "exec/collect_fill.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "storage/catalog.h"
 
 namespace cdb {

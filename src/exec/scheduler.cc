@@ -30,50 +30,43 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
     return out;
   }
 
-  std::vector<TaskId> TakeDeadLetters() override {
-    // Dead letters carry global ids; translate for every subscriber so each
-    // session's retry logic sees its own task ids.
-    for (TaskId g : scheduler_->platform_->TakeDeadLetters()) {
-      auto it = scheduler_->subscribers_.find(g);
-      if (it == scheduler_->subscribers_.end()) continue;
-      for (const auto& [j, local] : it->second) {
-        scheduler_->pending_dead_[j].push_back(local);
-      }
-    }
-    std::vector<TaskId> out;
-    out.swap(scheduler_->pending_dead_[session_]);
-    return out;
-  }
+  void DropDeadLetters() override { scheduler_->platform_.DropDeadLetters(); }
 
   void AdvanceTicks(int64_t ticks) override {
     // The clock is shared: one session's retry backoff advances time for
     // every co-scheduled query.
-    scheduler_->platform_->AdvanceTicks(ticks);
+    scheduler_->platform_.AdvanceTicks(ticks);
   }
 
   int effective_redundancy() const override {
-    const CrowdPlatform& platform = *scheduler_->platform_;
-    return std::min(platform.options().redundancy,
-                    static_cast<int>(platform.workers().size()));
+    return scheduler_->platform_.effective_redundancy();
   }
 
-  PlatformStats stats() const override { return scheduler_->platform_->stats(); }
+  PlatformStats stats() const override { return scheduler_->platform_.stats(); }
 
  private:
   MultiQueryScheduler* scheduler_;
   size_t session_;
 };
 
+namespace {
+
+// The shared market, wired to the scheduler's observability sinks.
+PlatformOptions SharedMarket(const MultiQueryOptions& options) {
+  PlatformOptions market = options.platform;
+  market.metrics = options.metrics;
+  market.tracer = options.tracer;
+  return market;
+}
+
+}  // namespace
+
 MultiQueryScheduler::MultiQueryScheduler(const MultiQueryOptions& options)
     : options_(options),
+      platform_({SharedMarket(options)},
+                [this](const Task& task) { return GlobalTaskTruth(task); }),
       global_budget_(options.global_budget),
-      mirror_(options.metrics, "scheduler.", kSchedulerStatFields) {
-  options_.platform.metrics = options_.metrics;
-  options_.platform.tracer = options_.tracer;
-  platform_ = std::make_unique<CrowdPlatform>(
-      options_.platform,
-      [this](const Task& task) { return GlobalTaskTruth(task); });
-}
+      mirror_(options.metrics, "scheduler.", kSchedulerStatFields) {}
 
 MultiQueryScheduler::~MultiQueryScheduler() = default;
 
@@ -91,7 +84,6 @@ size_t MultiQueryScheduler::AddQuery(const ResolvedQuery* query,
   sessions_.push_back(std::make_unique<QuerySession>(
       query, session_options, std::move(truth), channels_.back().get()));
   pending_late_.emplace_back();
-  pending_dead_.emplace_back();
   return index;
 }
 
@@ -155,7 +147,7 @@ bool MultiQueryScheduler::SkipDeducedFanout(size_t session, TaskId global,
 }
 
 void MultiQueryScheduler::RouteLateAnswers() {
-  for (const Answer& answer : platform_->TakeLateAnswers()) {
+  for (const Answer& answer : platform_.TakeLateAnswers()) {
     answer_cache_[answer.task].push_back(answer);
     auto it = subscribers_.find(answer.task);
     if (it == subscribers_.end()) continue;
@@ -186,7 +178,7 @@ Result<std::vector<Answer>> MultiQueryScheduler::DirectPublish(
   }
   if (remapped.empty()) return std::vector<Answer>();
   CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                       platform_->ExecuteRound(remapped, nullptr, nullptr));
+                       platform_.Publish(remapped, nullptr, nullptr));
   stats_.direct_tasks += static_cast<int64_t>(remapped.size());
 
   // This session gets its answers back directly; any other subscriber of a
@@ -287,13 +279,13 @@ Status MultiQueryScheduler::RunRounds() {
 
     std::vector<Task> merged = MergeRoundBatches(batches);
     if (!merged.empty()) {
-      const int64_t tick_begin = platform_->stats().ticks;
+      const int64_t tick_begin = platform_.stats().ticks;
       WallTimer wall;
       CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                           platform_->ExecuteRound(merged, nullptr, nullptr));
+                           platform_.Publish(merged, nullptr, nullptr));
       if (options_.tracer != nullptr) {
         options_.tracer->AddSpan("scheduler.merged_round", "scheduler",
-                                 tick_begin, platform_->stats().ticks,
+                                 tick_begin, platform_.stats().ticks,
                                  wall.ElapsedMicros());
       }
       ++stats_.merged_rounds;
@@ -327,7 +319,7 @@ Status MultiQueryScheduler::RunRounds() {
 }
 
 PlatformStats MultiQueryScheduler::platform_stats() const {
-  return platform_->stats();
+  return platform_.stats();
 }
 
 }  // namespace cdb

@@ -21,8 +21,9 @@
 //
 // Golden warm-up tasks and Collect-phase retry reposts bypass the barrier
 // (they are private to one session) but still go through the scheduler's
-// channel, which owns the only other ExecuteRound call site — the
-// `single-publish-path` lint rule keeps it that way.
+// channel. The merged rounds and the channel both publish through the
+// scheduler's one-market PlatformPublisher (crowd/platform.h), the same
+// deployment type a standalone session owns and checkpoints.
 #ifndef CDB_EXEC_SCHEDULER_H_
 #define CDB_EXEC_SCHEDULER_H_
 
@@ -142,7 +143,8 @@ class MultiQueryScheduler {
   bool SkipDeducedFanout(size_t session, TaskId global, TaskId local);
 
   MultiQueryOptions options_;
-  std::unique_ptr<CrowdPlatform> platform_;
+  // The shared market, built from options_.platform.
+  PlatformPublisher platform_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<QuerySession>> sessions_;
   BudgetLedger global_budget_;
@@ -159,9 +161,8 @@ class MultiQueryScheduler {
   std::map<TaskId, std::vector<std::pair<size_t, TaskId>>> subscribers_;
   // Global id -> every answer seen so far (serves later duplicate asks).
   std::map<TaskId, std::vector<Answer>> answer_cache_;
-  // Per-session queues of translated out-of-band answers / dead letters.
+  // Per-session queues of translated out-of-band answers.
   std::vector<std::vector<Answer>> pending_late_;
-  std::vector<std::vector<TaskId>> pending_dead_;
   // (global task, session) pairs already counted under dedup_tasks_saved, so
   // each redundant answer stream is a single saving, not one per answer.
   std::set<std::pair<TaskId, size_t>> deduced_fanout_counted_;

@@ -1,7 +1,6 @@
 #include "exec/session.h"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -41,57 +40,6 @@ const char* SessionPhaseName(SessionPhase phase) {
     case SessionPhase::kDone: return "done";
   }
   return "unknown";
-}
-
-PlatformPublisher::PlatformPublisher(const PlatformOptions& platform,
-                                     const std::vector<PlatformOptions>& markets,
-                                     TruthProvider truth) {
-  if (markets.empty()) {
-    single_ = std::make_unique<CrowdPlatform>(platform, std::move(truth));
-  } else {
-    multi_ = std::make_unique<MultiMarket>(markets, std::move(truth));
-  }
-}
-
-Result<std::vector<Answer>> PlatformPublisher::Publish(
-    const std::vector<Task>& tasks, const AssignmentPolicy* policy,
-    const AnswerObserver* observer) {
-  return single_ ? single_->ExecuteRound(tasks, policy, observer)
-                 : multi_->ExecuteRound(tasks, policy, observer);
-}
-
-std::vector<Answer> PlatformPublisher::TakeLateAnswers() {
-  return single_ ? single_->TakeLateAnswers() : multi_->TakeLateAnswers();
-}
-
-std::vector<TaskId> PlatformPublisher::TakeDeadLetters() {
-  return single_ ? single_->TakeDeadLetters() : multi_->TakeDeadLetters();
-}
-
-void PlatformPublisher::AdvanceTicks(int64_t ticks) {
-  if (single_) {
-    single_->AdvanceTicks(ticks);
-  } else {
-    multi_->AdvanceTicks(ticks);
-  }
-}
-
-int PlatformPublisher::effective_redundancy() const {
-  if (single_) {
-    return std::min(single_->options().redundancy,
-                    static_cast<int>(single_->workers().size()));
-  }
-  int lowest = std::numeric_limits<int>::max();
-  for (const CrowdPlatform& platform : multi_->platforms()) {
-    lowest = std::min(lowest,
-                      std::min(platform.options().redundancy,
-                               static_cast<int>(platform.workers().size())));
-  }
-  return lowest;
-}
-
-PlatformStats PlatformPublisher::stats() const {
-  return single_ ? single_->stats() : multi_->CombinedStats();
 }
 
 QuerySession::QuerySession(const ResolvedQuery* query,
@@ -141,7 +89,9 @@ QuerySession::QuerySession(const ResolvedQuery* query,
     // TaskId == EdgeId by construction; negative payloads mark golden
     // warm-up tasks.
     owned_publisher_ = std::make_unique<PlatformPublisher>(
-        options_.platform, options_.markets,
+        options_.markets.empty()
+            ? std::vector<PlatformOptions>{options_.platform}
+            : options_.markets,
         [this](const Task& task) { return TaskTruthFor(task); });
     publisher_ = owned_publisher_.get();
   }
@@ -405,7 +355,7 @@ Result<bool> QuerySession::StepCollect() {
   if (options_.retry.enabled) {
     const int effective_redundancy = publisher_->effective_redundancy();
     for (int attempt = 1; attempt <= kMaxReposts; ++attempt) {
-      (void)publisher_->TakeDeadLetters();  // Shortfall recomputed below.
+      publisher_->DropDeadLetters();  // Shortfall recomputed below.
       std::vector<Task> reposts;
       for (const Task& task : round_tasks_) {
         auto it = stats.unique_answers_per_task.find(task.id);

@@ -1,7 +1,9 @@
-// The phase-structured query session: Algorithm 1 (Appendix B) as an explicit
-// state machine instead of a run-to-completion loop.
-//
-// A QuerySession advances one phase per Step():
+// The CDB query session (Algorithm 1, Appendix B): build the graph, select
+// tasks (cost control), batch the non-conflicting ones per round (latency
+// control), publish them to the crowd, infer truths and color the graph
+// (quality control), and repeat until every valid edge is colored. It is an
+// explicit state machine, not a run-to-completion loop: a QuerySession
+// advances one phase per Step():
 //
 //   BuildGraph -> SelectTasks -> BatchRound -> Publish -> Collect
 //        ^                          |                        |
@@ -11,20 +13,27 @@
 //        v (budget/rounds exhausted, or SelectTasks finds nothing)
 //      Done
 //
+// Method matrix (the paper's names):
+//   CDB     = kExpectation cost method, majority-vote inference.
+//   CDB+    = kExpectation + quality_control (EM inference + entropy-based
+//             online task assignment).
+//   MinCut  = kSampling cost method (per-sample Lemma-1 min-cuts).
+// A task budget switches to the Section-5.1.3 budget-aware mode; round_limit
+// reproduces the Figure-22 latency-constraint protocol (optimize the first
+// r-1 rounds, flush everything in round r). RunToCompletion() runs a
+// standalone session to the end.
+//
 // Because every platform interaction happens inside a phase and phases carry
 // their own state, a session can be paused between any two Step() calls,
 // resumed later, and interleaved with other sessions — the property
-// MultiQueryScheduler (scheduler.h) builds on. The phase bodies are the old
-// CdbExecutor::Run loop cut at its natural seams, preserving the exact
-// sequence of publishes, clock advances, and late-answer drains, so a
-// standalone session is byte-identical to the pre-session executor: same
-// tasks, same rounds, same PlatformStatsDump, at every thread count.
+// MultiQueryScheduler (scheduler.h) builds on. The same tasks, rounds and
+// PlatformStatsDump come out at every thread count.
 //
-// All crowd traffic leaves through a TaskPublisher. PlatformPublisher is the
-// production implementation (one CrowdPlatform or a MultiMarket deployment)
-// and, together with the scheduler's shared-platform channel, the only code
-// allowed to call CrowdPlatform::ExecuteRound (the `single-publish-path`
-// lint rule enforces this).
+// All crowd traffic leaves through a TaskPublisher (crowd/platform.h). A
+// standalone session owns a PlatformPublisher over `options.markets`, or
+// over `options.platform` when that list is empty; a scheduled session
+// publishes through the scheduler's channel, which forwards to the
+// scheduler's own PlatformPublisher.
 #ifndef CDB_EXEC_SESSION_H_
 #define CDB_EXEC_SESSION_H_
 
@@ -238,58 +247,6 @@ struct QueryAnswer {
 struct ExecutionResult {
   std::vector<QueryAnswer> answers;
   ExecutionStats stats;
-};
-
-// Where a session's crowd traffic goes. Publish() blocks until the round
-// resolves and returns the on-time answers; the remaining calls mirror the
-// CrowdPlatform fault-layer surface.
-class TaskPublisher {
- public:
-  virtual ~TaskPublisher() = default;
-
-  virtual Result<std::vector<Answer>> Publish(
-      const std::vector<Task>& tasks, const AssignmentPolicy* policy,
-      const AnswerObserver* observer) = 0;
-  virtual std::vector<Answer> TakeLateAnswers() = 0;
-  virtual std::vector<TaskId> TakeDeadLetters() = 0;
-  virtual void AdvanceTicks(int64_t ticks) = 0;
-  // The redundancy a task can actually reach: the configured redundancy
-  // capped by the worker-pool size (min across markets for a deployment).
-  virtual int effective_redundancy() const = 0;
-  virtual PlatformStats stats() const = 0;
-};
-
-// The production publisher: a single simulated platform or a cross-market
-// deployment (Section 2.2) behind the uniform TaskPublisher surface.
-class PlatformPublisher : public TaskPublisher {
- public:
-  // Uses `markets` when non-empty, else `platform`.
-  PlatformPublisher(const PlatformOptions& platform,
-                    const std::vector<PlatformOptions>& markets,
-                    TruthProvider truth);
-  PlatformPublisher(const PlatformOptions& platform, TruthProvider truth)
-      : PlatformPublisher(platform, {}, std::move(truth)) {}
-
-  Result<std::vector<Answer>> Publish(const std::vector<Task>& tasks,
-                                      const AssignmentPolicy* policy,
-                                      const AnswerObserver* observer) override;
-  std::vector<Answer> TakeLateAnswers() override;
-  std::vector<TaskId> TakeDeadLetters() override;
-  void AdvanceTicks(int64_t ticks) override;
-  int effective_redundancy() const override;
-  PlatformStats stats() const override;
-
-  // Snapshot/restore of the wrapped deployment's cross-round state (see
-  // CrowdPlatform::SnapshotState).
-  void SnapshotState(ByteWriter& writer) const;
-  Status RestoreState(ByteReader& reader);
-
-  // The wrapped single platform; null for a multi-market deployment.
-  CrowdPlatform* single_platform() { return single_.get(); }
-
- private:
-  std::unique_ptr<CrowdPlatform> single_;
-  std::unique_ptr<MultiMarket> multi_;
 };
 
 // One query's crowdsourcing run as a resumable state machine. See the file

@@ -486,25 +486,4 @@ Status QuerySession::Restore(std::string_view blob) {
   return Status::Ok();
 }
 
-void PlatformPublisher::SnapshotState(ByteWriter& writer) const {
-  writer.PutBool(single_ != nullptr);
-  if (single_ != nullptr) {
-    single_->SnapshotState(writer);
-  } else {
-    multi_->SnapshotState(writer);
-  }
-}
-
-Status PlatformPublisher::RestoreState(ByteReader& reader) {
-  bool is_single = false;
-  CDB_RETURN_IF_ERROR(reader.GetBool(&is_single));
-  if (is_single != (single_ != nullptr)) {
-    return Status::FailedPrecondition(
-        "platform snapshot deployment shape (single vs multi-market) does "
-        "not match this publisher");
-  }
-  return single_ != nullptr ? single_->RestoreState(reader)
-                            : multi_->RestoreState(reader);
-}
-
 }  // namespace cdb

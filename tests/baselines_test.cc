@@ -123,8 +123,10 @@ TEST_F(BaselineMiniTest, GraphModelBeatsTreeModelOnCost) {
   // a few extra tasks for fewer rounds, which on this miniature example can
   // cede the comparison to the *oracle* tree order.
   cdb_options.latency_mode = LatencyMode::kExactPrefix;
-  int64_t cdb_cost =
-      CdbExecutor(&query_, cdb_options, truth_).Run().value().stats.tasks_asked;
+  int64_t cdb_cost = QuerySession(&query_, cdb_options, truth_)
+                         .RunToCompletion()
+                         .value()
+                         .stats.tasks_asked;
   // The headline claim, on the paper's own miniature example: even against
   // the oracle-optimal tree order, tuple-level optimization does not lose.
   EXPECT_LE(cdb_cost, tree_cost);
@@ -204,10 +206,12 @@ TEST_F(BaselineMiniTest, CdbBudgetModeBeatsBaselineRecall) {
   ExecutorOptions cdb_options;
   cdb_options.platform = PerfectPlatform(17);
   cdb_options.budget = budget;
-  double cdb_recall =
-      ComputeF1(CdbExecutor(&query_, cdb_options, truth_).Run().value().answers,
-                reference)
-          .recall;
+  double cdb_recall = ComputeF1(QuerySession(&query_, cdb_options, truth_)
+                                    .RunToCompletion()
+                                    .value()
+                                    .answers,
+                                reference)
+                          .recall;
   EXPECT_GE(cdb_recall, baseline_recall);
   EXPECT_GT(cdb_recall, 0.0);
 }

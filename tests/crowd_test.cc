@@ -362,7 +362,7 @@ TEST(PlatformTest, AdvanceTicksMovesVirtualClock) {
   EXPECT_EQ(platform.stats().ticks, 17);
 }
 
-TEST(MultiMarketTest, PartitionsAndMerges) {
+TEST(PlatformPublisherTest, PartitionsAndMerges) {
   PlatformOptions a;
   a.market_name = "SimAMT";
   a.redundancy = 2;
@@ -372,18 +372,18 @@ TEST(MultiMarketTest, PartitionsAndMerges) {
   b.requester_controls_assignment = false;
   b.redundancy = 2;
   b.seed = 2;
-  MultiMarket market({a, b}, AlwaysYes());
+  PlatformPublisher market({a, b}, AlwaysYes());
   std::vector<Task> tasks;
   for (int i = 0; i < 10; ++i) tasks.push_back(YesNoTask(i));
-  std::vector<Answer> answers = market.ExecuteRound(tasks).value();
+  std::vector<Answer> answers = market.Publish(tasks, nullptr, nullptr).value();
   EXPECT_EQ(answers.size(), 20u);
-  PlatformStats stats = market.CombinedStats();
+  PlatformStats stats = market.stats();
   EXPECT_EQ(stats.tasks_published, 10);
   EXPECT_EQ(stats.answers_collected, 20);
   // Worker ids from the second market carry the offset.
   bool saw_offset = false;
   for (const Answer& answer : answers) {
-    if (answer.worker >= MultiMarket::kWorkerIdStride) saw_offset = true;
+    if (answer.worker >= PlatformPublisher::kWorkerIdStride) saw_offset = true;
   }
   EXPECT_TRUE(saw_offset);
 }

@@ -8,7 +8,7 @@
 #include "bench_util/metrics.h"
 #include "common/logging.h"
 #include "cql/parser.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "graph/pruning.h"
 #include "graph/structure.h"
 
@@ -90,8 +90,8 @@ TEST_F(CyclicQueryTest, ExecutorFindsExactlyTheTriangles) {
   options.platform.worker_quality_mean = 1.0;
   options.platform.worker_quality_stddev = 0.0;
   options.platform.redundancy = 1;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   PrecisionRecall pr = ComputeF1(result.answers, TrueAnswers(dataset_, query_));
   EXPECT_DOUBLE_EQ(pr.precision, 1.0);
   EXPECT_DOUBLE_EQ(pr.recall, 1.0);

@@ -3,7 +3,7 @@
 #include "bench_util/metrics.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "graph/pruning.h"
 #include "tests/test_util.h"
 
@@ -37,8 +37,8 @@ class ExecutorMiniTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorMiniTest, PerfectCrowdFindsExactlyTrueAnswers) {
-  CdbExecutor executor(&query_, PerfectCrowd(), truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, PerfectCrowd(), truth_);
+  ExecutionResult result = session.RunToCompletion().value();
 
   // With perfect workers the returned tuples must coincide with the
   // graph-reachable subset of the truth: precision 1.
@@ -51,24 +51,24 @@ TEST_F(ExecutorMiniTest, PerfectCrowdFindsExactlyTrueAnswers) {
 }
 
 TEST_F(ExecutorMiniTest, NoUncoloredValidEdgesRemain) {
-  CdbExecutor executor(&query_, PerfectCrowd(), truth_);
-  executor.Run().value();
+  QuerySession session(&query_, PerfectCrowd(), truth_);
+  session.RunToCompletion().value();
   // Algorithm-1 termination: every remaining unknown edge must be invalid.
-  const QueryGraph& graph = executor.graph();
+  const QueryGraph& graph = session.graph();
   Pruner pruner(const_cast<QueryGraph*>(&graph));
   EXPECT_TRUE(pruner.RemainingTasks().empty());
 }
 
 TEST_F(ExecutorMiniTest, AsksFewerTasksThanEdges) {
-  CdbExecutor executor(&query_, PerfectCrowd(), truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, PerfectCrowd(), truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   // Tuple-level pruning must save something on the mini example.
-  EXPECT_LT(result.stats.tasks_asked, executor.graph().num_edges());
+  EXPECT_LT(result.stats.tasks_asked, session.graph().num_edges());
 }
 
 TEST_F(ExecutorMiniTest, RoundSizesSumToTasks) {
-  CdbExecutor executor(&query_, PerfectCrowd(), truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, PerfectCrowd(), truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   int64_t sum = 0;
   for (int64_t size : result.stats.round_sizes) sum += size;
   EXPECT_EQ(sum, result.stats.tasks_asked);
@@ -80,8 +80,8 @@ TEST_F(ExecutorMiniTest, SamplingMethodAlsoCompletes) {
   ExecutorOptions options = PerfectCrowd();
   options.cost_method = CostMethod::kSampling;
   options.sampling_samples = 25;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   PrecisionRecall pr = ComputeF1(result.answers, TrueAnswers(dataset_, query_));
   EXPECT_DOUBLE_EQ(pr.precision, 1.0);
 }
@@ -92,30 +92,30 @@ TEST_F(ExecutorMiniTest, CdbPlusRunsQualityControl) {
   options.platform.worker_quality_mean = 0.85;
   options.platform.redundancy = 5;
   options.platform.seed = 11;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   EXPECT_GT(result.stats.worker_answers, result.stats.tasks_asked);
 }
 
 TEST_F(ExecutorMiniTest, RoundLimitFlushes) {
   ExecutorOptions options = PerfectCrowd();
   options.round_limit = 2;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   EXPECT_LE(result.stats.rounds, 2);
   // Flushing in round 2 must still finish the query: no valid unknowns left.
-  Pruner pruner(const_cast<QueryGraph*>(&executor.graph()));
+  Pruner pruner(const_cast<QueryGraph*>(&session.graph()));
   EXPECT_TRUE(pruner.RemainingTasks().empty());
 }
 
 TEST_F(ExecutorMiniTest, RoundLimitOneAsksEverythingValid) {
   ExecutorOptions options = PerfectCrowd();
   options.round_limit = 1;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult one = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult one = session.RunToCompletion().value();
   ExecutorOptions unconstrained = PerfectCrowd();
-  CdbExecutor executor2(&query_, unconstrained, truth_);
-  ExecutionResult free_run = executor2.Run().value();
+  QuerySession unconstrained_session(&query_, unconstrained, truth_);
+  ExecutionResult free_run = unconstrained_session.RunToCompletion().value();
   // A 1-round flush cannot ask fewer tasks than the multi-round optimum.
   EXPECT_GE(one.stats.tasks_asked, free_run.stats.tasks_asked);
   EXPECT_EQ(one.stats.rounds, 1);
@@ -124,8 +124,8 @@ TEST_F(ExecutorMiniTest, RoundLimitOneAsksEverythingValid) {
 TEST_F(ExecutorMiniTest, BudgetModeRespectsBudget) {
   ExecutorOptions options = PerfectCrowd();
   options.budget = 5;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   EXPECT_LE(result.stats.tasks_asked, 5);
 }
 
@@ -136,14 +136,16 @@ TEST_F(ExecutorMiniTest, BudgetRecallGrowsWithBudget) {
   {
     ExecutorOptions options = PerfectCrowd();
     options.budget = 3;
-    CdbExecutor executor(&query_, options, truth_);
-    small_recall = ComputeF1(executor.Run().value().answers, reference).recall;
+    QuerySession session(&query_, options, truth_);
+    small_recall =
+        ComputeF1(session.RunToCompletion().value().answers, reference).recall;
   }
   {
     ExecutorOptions options = PerfectCrowd();
     options.budget = 60;
-    CdbExecutor executor(&query_, options, truth_);
-    large_recall = ComputeF1(executor.Run().value().answers, reference).recall;
+    QuerySession session(&query_, options, truth_);
+    large_recall =
+        ComputeF1(session.RunToCompletion().value().answers, reference).recall;
   }
   EXPECT_GE(large_recall, small_recall);
   EXPECT_GT(large_recall, 0.0);
@@ -154,8 +156,8 @@ TEST_F(ExecutorMiniTest, SelectionQueryWorks) {
                                 "SELECT University.name FROM University "
                                 "WHERE University.country CROWDEQUAL 'USA'");
   EdgeTruthFn truth = MakeEdgeTruth(&dataset_, &query);
-  CdbExecutor executor(&query, PerfectCrowd(), truth);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query, PerfectCrowd(), truth);
+  ExecutionResult result = session.RunToCompletion().value();
   // 11 of the 12 universities are in the USA ("US"/"USA" variants).
   PrecisionRecall pr = ComputeF1(result.answers, TrueAnswers(dataset_, query));
   EXPECT_DOUBLE_EQ(pr.precision, 1.0);
@@ -169,8 +171,8 @@ TEST_F(ExecutorMiniTest, MixedCrowdAndTraditionalPredicates) {
                                 "WHERE Paper.title CROWDJOIN Citation.title "
                                 "AND Paper.conference = 'sigmod14'");
   EdgeTruthFn truth = MakeEdgeTruth(&dataset_, &query);
-  CdbExecutor executor(&query, PerfectCrowd(), truth);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query, PerfectCrowd(), truth);
+  ExecutionResult result = session.RunToCompletion().value();
   // Papers p5 and p7 are sigmod14; p5's citation c7 matches; p7's real
   // citation c9 matches.
   EXPECT_GE(result.answers.size(), 1u);
@@ -190,8 +192,8 @@ TEST(ExecutorSyntheticTest, NoisyCrowdDegradesGracefully) {
   options.platform.worker_quality_mean = 0.6;
   options.platform.redundancy = 3;
   options.platform.seed = 21;
-  CdbExecutor executor(&query, options, truth);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query, options, truth);
+  ExecutionResult result = session.RunToCompletion().value();
   EXPECT_GT(result.stats.tasks_asked, 0);
 }
 

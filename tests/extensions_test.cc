@@ -1,5 +1,5 @@
 // Tests for the paper's extension features: golden tasks (Appendix E) and
-// cross-market deployment (Section 2.2) wired into the executor.
+// cross-market deployment (Section 2.2) wired into the session.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,7 +8,7 @@
 #include "cql/parser.h"
 #include "crowd/platform.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "quality/task_assignment.h"
 #include "quality/truth_inference.h"
 
@@ -61,8 +61,8 @@ TEST_F(ExecutorExtensionTest, GoldenTasksWarmUpRun) {
   options.golden_tasks = 10;
   options.platform.worker_quality_mean = 0.85;
   options.platform.seed = 31;
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   // The warm-up answers are extra crowd work but not query tasks.
   EXPECT_GT(result.stats.worker_answers,
             result.stats.tasks_asked * options.platform.redundancy);
@@ -82,8 +82,8 @@ TEST_F(ExecutorExtensionTest, CrossMarketDeploymentCompletes) {
   flower.requester_controls_assignment = false;
   flower.seed = 6;
   options.markets = {amt, flower};
-  CdbExecutor executor(&query_, options, truth_);
-  ExecutionResult result = executor.Run().value();
+  QuerySession session(&query_, options, truth_);
+  ExecutionResult result = session.RunToCompletion().value();
   PrecisionRecall pr = ComputeF1(result.answers, TrueAnswers(dataset_, query_));
   EXPECT_DOUBLE_EQ(pr.precision, 1.0);
   EXPECT_GT(result.stats.tasks_asked, 0);
@@ -97,13 +97,15 @@ TEST_F(ExecutorExtensionTest, CrossMarketMatchesSingleMarketAnswers) {
   single.platform.worker_quality_mean = 1.0;
   single.platform.worker_quality_stddev = 0.0;
   single.platform.redundancy = 1;
-  ExecutionResult base = CdbExecutor(&query_, single, truth_).Run().value();
+  ExecutionResult base =
+      QuerySession(&query_, single, truth_).RunToCompletion().value();
 
   ExecutorOptions multi = single;
   PlatformOptions b = single.platform;
   b.seed = 99;
   multi.markets = {single.platform, b};
-  ExecutionResult cross = CdbExecutor(&query_, multi, truth_).Run().value();
+  ExecutionResult cross =
+      QuerySession(&query_, multi, truth_).RunToCompletion().value();
   EXPECT_EQ(base.answers, cross.answers);
 }
 
@@ -119,7 +121,7 @@ TEST(CrossMarketQualityControlTest, PolicySeesTheWorkerIdsAnswersCarry) {
   PlatformOptions flower = amt;
   flower.market_name = "SimCrowdFlower";
   flower.seed = 4;
-  MultiMarket markets({amt, flower}, [](const Task&) {
+  PlatformPublisher markets({amt, flower}, [](const Task&) {
     TaskTruth truth;
     truth.correct_choice = 0;
     return truth;
@@ -151,7 +153,7 @@ TEST(CrossMarketQualityControlTest, PolicySeesTheWorkerIdsAnswersCarry) {
   for (int round = 0; round < 2; ++round) {
     assigner.BeginRound(tasks);
     std::vector<Answer> answers =
-        markets.ExecuteRound(tasks, &policy, &observer).value();
+        markets.Publish(tasks, &policy, &observer).value();
     std::map<TaskId, std::set<int>> carried;
     for (const Answer& answer : answers) {
       carried[answer.task % 2].insert(answer.worker);

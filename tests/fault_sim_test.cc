@@ -144,7 +144,7 @@ TEST(FaultDstTest, StatsPersistAcrossRounds) {
   CheckConservation(platform.stats());
 }
 
-TEST(FaultDstTest, MultiMarketConservesAcrossMarkets) {
+TEST(FaultDstTest, PublisherConservesAcrossMarkets) {
   PlatformOptions a;
   a.seed = 4;
   a.redundancy = 2;
@@ -154,11 +154,11 @@ TEST(FaultDstTest, MultiMarketConservesAcrossMarkets) {
   b.seed = 5;
   b.market_name = "SimCrowdFlower";
   b.requester_controls_assignment = false;
-  MultiMarket market({a, b}, AlwaysYes());
+  PlatformPublisher market({a, b}, AlwaysYes());
   std::vector<Task> tasks;
   for (int i = 0; i < 12; ++i) tasks.push_back(YesNoTask(i));
-  ASSERT_TRUE(market.ExecuteRound(tasks).ok());
-  CheckConservation(market.CombinedStats());
+  ASSERT_TRUE(market.Publish(tasks, nullptr, nullptr).ok());
+  CheckConservation(market.stats());
   // Late answers from the second market carry the worker-id offset.
   for (const Answer& late : market.TakeLateAnswers()) {
     EXPECT_TRUE(late.late);

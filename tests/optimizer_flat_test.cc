@@ -34,7 +34,7 @@
 #include "cost/structure_cache.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "flow/dinic.h"
 #include "flow/min_cut.h"
 #include "graph/query_graph.h"

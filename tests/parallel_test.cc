@@ -106,35 +106,6 @@ TEST(ParallelForTest, ChunkGeometryIndependentOfThreadCount) {
   for (int threads : kThreadCounts) EXPECT_EQ(chunks_at(threads), serial);
 }
 
-TEST(ParallelForStatusTest, AllChunksOkReturnsOk) {
-  for (int threads : kThreadCounts) {
-    EXPECT_TRUE(ParallelForStatus(
-                    0, 100, 9,
-                    [](int64_t, int64_t, int) { return Status::Ok(); }, threads)
-                    .ok());
-  }
-}
-
-TEST(ParallelForStatusTest, ReportsLowestFailingChunkDeterministically) {
-  for (int threads : kThreadCounts) {
-    std::atomic<int> chunks_run{0};
-    Status status = ParallelForStatus(
-        0, 100, /*grain=*/10,
-        [&](int64_t, int64_t, int chunk) {
-          chunks_run.fetch_add(1);
-          if (chunk == 7) return Status::Internal("chunk 7");
-          if (chunk == 3) return Status::InvalidArgument("chunk 3");
-          return Status::Ok();
-        },
-        threads);
-    EXPECT_EQ(chunks_run.load(), 10);  // No exceptions, no early abort.
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(status.message(), "chunk 3");
-  }
-}
-
-// ------------------------------------------------------------ Rng streams ---
-
 TEST(RngStreamTest, StreamsAreDeterministicAndDistinct) {
   Rng a(123, 7);
   Rng b(123, 7);

@@ -36,7 +36,7 @@ ResolvedQuery Resolve(const GeneratedDataset& ds, const std::string& cql) {
 }
 
 // Everything the session reports, as one comparable byte string (the same
-// signature session_test.cc compares against CdbExecutor).
+// signature session_test.cc compares against RunToCompletion()).
 std::string StatsSignature(const ExecutionStats& stats) {
   std::ostringstream out;
   out << "tasks=" << stats.tasks_asked << "\nrounds=" << stats.rounds

@@ -1,5 +1,5 @@
 // The session-pipeline contract: a Step()-driven QuerySession is
-// byte-identical to CdbExecutor::Run(), pausable/resumable mid-query, and
+// byte-identical to RunToCompletion(), pausable/resumable mid-query, and
 // MultiQueryScheduler's cross-query dedup preserves single-query answers
 // while strictly saving crowd work.
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include "bench_util/metrics.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
-#include "exec/executor.h"
 #include "exec/scheduler.h"
+#include "exec/session.h"
 #include "tests/test_util.h"
 
 namespace cdb {
@@ -122,15 +122,15 @@ class SessionTest : public ::testing::Test {
 
 TEST_F(SessionTest, StepDrivenMatchesExecutorByteIdentical) {
   for (int threads : {1, 8}) {
-    CdbExecutor executor(&query_, NoisyCrowd(21, threads), truth_);
-    ExecutionResult via_run = executor.Run().value();
+    QuerySession to_completion(&query_, NoisyCrowd(21, threads), truth_);
+    ExecutionResult via_run = to_completion.RunToCompletion().value();
 
     QuerySession session(&query_, NoisyCrowd(21, threads), truth_);
     ExecutionResult via_steps = StepToCompletion(session);
 
     EXPECT_EQ(StatsSignature(via_run.stats), StatsSignature(via_steps.stats))
         << "threads=" << threads;
-    EXPECT_EQ(ColorDump(executor.graph()), ColorDump(session.graph()))
+    EXPECT_EQ(ColorDump(to_completion.graph()), ColorDump(session.graph()))
         << "threads=" << threads;
     EXPECT_EQ(via_run.answers, via_steps.answers);
   }
@@ -138,15 +138,15 @@ TEST_F(SessionTest, StepDrivenMatchesExecutorByteIdentical) {
 
 TEST_F(SessionTest, StepDrivenMatchesExecutorUnderFaults) {
   for (int threads : {1, 8}) {
-    CdbExecutor executor(&query_, FaultyCrowd(77, threads), truth_);
-    ExecutionResult via_run = executor.Run().value();
+    QuerySession to_completion(&query_, FaultyCrowd(77, threads), truth_);
+    ExecutionResult via_run = to_completion.RunToCompletion().value();
 
     QuerySession session(&query_, FaultyCrowd(77, threads), truth_);
     ExecutionResult via_steps = StepToCompletion(session);
 
     EXPECT_EQ(StatsSignature(via_run.stats), StatsSignature(via_steps.stats))
         << "threads=" << threads;
-    EXPECT_EQ(ColorDump(executor.graph()), ColorDump(session.graph()))
+    EXPECT_EQ(ColorDump(to_completion.graph()), ColorDump(session.graph()))
         << "threads=" << threads;
   }
 }
@@ -194,12 +194,12 @@ TEST_F(SessionTest, PauseAndInterleaveDoesNotChangeTheResult) {
 
 TEST_F(SessionTest, SchedulerMatchesSoloColorsWithPerfectWorkers) {
   // Solo runs of both queries.
-  CdbExecutor solo_a(&query_, PerfectCrowd(3), truth_);
-  ExecutionResult result_a = solo_a.Run().value();
+  QuerySession solo_a(&query_, PerfectCrowd(3), truth_);
+  ExecutionResult result_a = solo_a.RunToCompletion().value();
   ResolvedQuery query_b = Resolve(dataset_, kTwoTableQuery);
   EdgeTruthFn truth_b = MakeEdgeTruth(&dataset_, &query_b);
-  CdbExecutor solo_b(&query_b, PerfectCrowd(3), truth_b);
-  ExecutionResult result_b = solo_b.Run().value();
+  QuerySession solo_b(&query_b, PerfectCrowd(3), truth_b);
+  ExecutionResult result_b = solo_b.RunToCompletion().value();
 
   // The same two queries co-scheduled: perfect workers answer every asked
   // task correctly in either mode, so every colored edge must agree.
@@ -220,8 +220,8 @@ TEST_F(SessionTest, SchedulerMatchesSoloColorsWithPerfectWorkers) {
 }
 
 TEST_F(SessionTest, SchedulerDedupsOverlappingQueries) {
-  CdbExecutor solo(&query_, PerfectCrowd(3), truth_);
-  ExecutionResult solo_result = solo.Run().value();
+  QuerySession solo(&query_, PerfectCrowd(3), truth_);
+  ExecutionResult solo_result = solo.RunToCompletion().value();
   int64_t solo_published = solo_result.stats.platform.tasks_published;
 
   // The same query twice: every join task of the second session is the same

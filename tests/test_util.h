@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "cost/structure_cache.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "graph/query_graph.h"
 
 namespace cdb {

@@ -41,8 +41,8 @@ TEST(CounterTest, IncrementAndValue) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsFoldExactly) {
-  // The sharded fold is an integer sum, so any interleaving of increments
-  // from any number of threads must produce the exact total.
+  // Increments are integer atomic adds, so any interleaving of them from
+  // any number of threads must produce the exact total.
   Counter counter;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
@@ -518,9 +518,7 @@ TEST(RegistryViewTest, SessionAfterDeliverAnswersAndDedupSavings) {
     std::vector<Answer> TakeLateAnswers() override {
       return platform_->TakeLateAnswers();
     }
-    std::vector<TaskId> TakeDeadLetters() override {
-      return platform_->TakeDeadLetters();
-    }
+    void DropDeadLetters() override { (void)platform_->TakeDeadLetters(); }
     void AdvanceTicks(int64_t ticks) override {
       platform_->AdvanceTicks(ticks);
     }

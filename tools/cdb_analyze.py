@@ -11,13 +11,13 @@ mutex-annotation):
   atomic-annotation       Every non-metrics std::atomic field carries a
                           CDB_GUARDED_BY annotation or an explicit
                           suppression. The metrics primitives
-                          (src/common/metrics.h: sharded Counter, Gauge) are
-                          the sanctioned lock-free exception — their folds
+                          (src/common/metrics.h: Counter, Gauge) are the
+                          sanctioned lock-free exception — a counter's adds
                           are commutative integer sums, which is what keeps
                           them inside the determinism contract.
 
-  rng-ref-in-parallel     No cdb::Rng object declared outside a ParallelFor /
-                          ParallelForStatus body may be referenced inside it.
+  rng-ref-in-parallel     No cdb::Rng object declared outside a ParallelFor
+                          body may be referenced inside it.
                           The stream-splitting discipline (one Rng per chunk,
                           constructed inside the callback as
                           Rng(seed, index)) is what makes parallel == serial
@@ -27,10 +27,12 @@ mutex-annotation):
                           from it the way it hides from a line grep.
 
   lock-then-callback      No public member function of a capability-annotated
-                          class may both acquire a lock (construct a
-                          MutexLock / call Mutex::Lock) and invoke a
-                          user-supplied callable (a std::function parameter)
-                          in the same body. Calling out with a lock held
+                          class may invoke a user-supplied callable (a
+                          std::function parameter) while holding a lock it
+                          acquired. A MutexLock covers the rest of its
+                          enclosing block, nested blocks included; a
+                          Mutex::Lock() call conservatively does too, even
+                          if Unlock() follows. Calling out with a lock held
                           hands every caller a deadlock/reentrancy footgun;
                           copy the work out of the critical section first
                           (see ThreadPool::WorkerLoop).
@@ -204,7 +206,7 @@ class TuAnalyzer:
                     "the capability that orders its writes, or suppress with "
                     "// cdb-analyze: allow=atomic-annotation <reason>")
 
-    PARALLEL_FOR_NAMES = ("ParallelFor", "ParallelForStatus")
+    PARALLEL_FOR_NAMES = ("ParallelFor",)
 
     def check_parallel_call(self, call: Any) -> None:
         kinds = self.cindex.CursorKind
@@ -259,21 +261,17 @@ class TuAnalyzer:
         }
         if not fn_params:
             return
-        acquires: List[Any] = []
         callback_calls: List[Tuple[Any, str]] = []
 
-        def scan(node: Any) -> None:
-            if (node.kind == kinds.VAR_DECL
-                    and self.LOCK_TYPES_RE.search(self.type_spelling(node))):
-                acquires.append(node)
-            if (node.kind == kinds.CALL_EXPR
-                    and node.spelling in ("Lock", "operator()")):
-                pass  # spelling-based; resolved below via referenced decls
-            if node.kind == kinds.CALL_EXPR:
-                for child in node.get_children():
-                    if child.kind == kinds.MEMBER_REF_EXPR and \
-                            child.spelling == "Lock":
-                        acquires.append(node)
+        def scan(node: Any, locked: bool) -> None:
+            # A lock covers the rest of its enclosing block: statements
+            # after the one that acquires it, nested blocks included.
+            if node.kind == kinds.COMPOUND_STMT:
+                for stmt in node.get_children():
+                    scan(stmt, locked)
+                    locked = locked or self._acquires_lock(stmt, kinds)
+                return
+            if locked and node.kind == kinds.CALL_EXPR:
                 # A call whose callee (possibly through an implicit cast)
                 # names a std::function parameter is a callback-out.
                 callee = next(iter(node.get_children()), None)
@@ -281,17 +279,35 @@ class TuAnalyzer:
                 if ref is not None and ref.hash in fn_params:
                     callback_calls.append((node, ref.spelling))
             for child in node.get_children():
-                scan(child)
+                scan(child, locked)
 
-        scan(method)
-        if acquires and callback_calls:
+        scan(method, False)
+        if callback_calls:
             node, name = callback_calls[0]
             self.report(
                 node, "lock-then-callback",
                 f"public method '{record.spelling}::{method.spelling}' "
-                f"acquires a lock and invokes caller-supplied '{name}' in "
-                "the same body; move the invocation outside the critical "
-                "section (deadlock/reentrancy hazard for every caller)")
+                f"invokes caller-supplied '{name}' while a lock acquired "
+                "earlier in its block is held; move the invocation outside "
+                "the critical section (deadlock/reentrancy hazard for every "
+                "caller)")
+
+    def _acquires_lock(self, stmt: Any, kinds: Any) -> bool:
+        """True when statement `stmt` declares a MutexLock or calls Lock()
+        outside any nested block; a Lock() call counts as held until the
+        block ends even if Unlock() follows (conservative)."""
+        if stmt.kind == kinds.COMPOUND_STMT:
+            return False
+        if (stmt.kind == kinds.VAR_DECL
+                and self.LOCK_TYPES_RE.search(self.type_spelling(stmt))):
+            return True
+        if stmt.kind == kinds.CALL_EXPR and any(
+                child.kind == kinds.MEMBER_REF_EXPR
+                and child.spelling == "Lock"
+                for child in stmt.get_children()):
+            return True
+        return any(self._acquires_lock(child, kinds)
+                   for child in stmt.get_children())
 
     def _leaf_decl_ref(self, node: Any, kinds: Any) -> Optional[Any]:
         while node is not None:
@@ -490,7 +506,38 @@ class S {
   int x_ CDB_GUARDED_BY(mu_) = 0;
 };
 }  // namespace cdb
-""", "lock-then-callback", True),  # Conservative: same body still flags.
+""", "lock-then-callback", False),
+    ("callback in a nested block under the lock still flags", """
+namespace cdb {
+class S {
+ public:
+  void Run(const std::function<void()>& fn) {
+    MutexLock lock(mu_);
+    if (x_ > 0) {
+      fn();
+    }
+  }
+ private:
+  Mutex mu_;
+  int x_ CDB_GUARDED_BY(mu_) = 0;
+};
+}  // namespace cdb
+""", "lock-then-callback", True),
+    ("callback before the lock in the same block is clean", """
+namespace cdb {
+class S {
+ public:
+  void Run(const std::function<void()>& fn) {
+    fn();
+    MutexLock lock(mu_);
+    x_ = 1;
+  }
+ private:
+  Mutex mu_;
+  int x_ CDB_GUARDED_BY(mu_) = 0;
+};
+}  // namespace cdb
+""", "lock-then-callback", False),
     ("storing the callback under lock is clean", """
 namespace cdb {
 class S {

@@ -36,27 +36,28 @@ contracts:
                           src/CMakeLists.txt. An orphaned .cc compiles in
                           nobody's build and silently rots.
 
-  single-publish-path     CrowdPlatform::ExecuteRound may only be invoked by
-                          the session publish path (src/exec/session.cc, the
-                          scheduler's channel in src/exec/scheduler.cc) and
-                          the platform's own internals. Every other caller
-                          must publish through a TaskPublisher so budget
-                          accounting, cross-query dedup, and the fault-layer
-                          drains cannot be bypassed. Unit tests exercising
-                          the simulator itself (tests/) are out of scope;
-                          simulator micro-benchmarks use the documented
-                          disable comment.
+  single-publish-path     CrowdPlatform::ExecuteRound may only be invoked
+                          inside src/crowd/platform.{h,cc}, by
+                          PlatformPublisher, the one crowd deployment type
+                          (one market or several) that sessions and the
+                          multi-query scheduler publish through. Every other
+                          caller must publish through a TaskPublisher so
+                          budget accounting, cross-query dedup, and the
+                          fault-layer drains cannot be bypassed. Unit tests
+                          exercising the simulator itself (tests/) are out of
+                          scope; simulator micro-benchmarks use the
+                          documented disable comment.
 
   fault-rng-stream        Fault-injection decisions in the crowd simulator
                           (src/crowd/) must come from explicit split streams
                           — Rng(seed ^ salt, counter), or ShortStream(seed
                           ^ salt, counter), which gives the same draws —
-                          never from the platform's shared sequential rng_
-                          or from Rng::Fork(), whose draws depend on how much
-                          randomness earlier code consumed. A fault schedule
-                          on the shared stream stops being a pure function of
-                          (seed, counter) and silently breaks the
-                          bit-identical determinism the DST harness asserts.
+                          never from the platform's shared sequential rng_,
+                          whose draws depend on how much randomness earlier
+                          code consumed. A fault schedule on the shared
+                          stream stops being a pure function of (seed,
+                          counter) and silently breaks the bit-identical
+                          determinism the DST harness asserts.
 
   wallclock-outside-trace  std::chrono (includes, namespace uses, direct
                           clock types) only in src/common/trace.cc, the one
@@ -460,11 +461,9 @@ def check_snapshot_discipline(root: str) -> List[Finding]:
 # Rule: single-publish-path
 # --------------------------------------------------------------------------
 
-# The only call sites allowed to drive the platform round loop directly: the
-# session publish path and the platform's own implementation/recursion.
+# The only files allowed to drive the platform round loop directly: the
+# platform's own implementation and PlatformPublisher, which lives beside it.
 PUBLISH_PATH_ALLOWED = (
-    "src/exec/session.cc",
-    "src/exec/scheduler.cc",
     "src/crowd/platform.h",
     "src/crowd/platform.cc",
 )
@@ -484,10 +483,9 @@ def check_single_publish_path(path: str, text: str) -> List[Finding]:
                 and not suppressed(raw, "single-publish-path")):
             findings.append(Finding(
                 path, lineno, "single-publish-path",
-                "direct ExecuteRound call outside the session publish path; "
-                "publish through a TaskPublisher (PlatformPublisher or the "
-                "scheduler channel) so budget, dedup, and fault drains are "
-                "not bypassed"))
+                "direct ExecuteRound call outside PlatformPublisher, the one "
+                "publisher; publish through a TaskPublisher so budget, "
+                "dedup, and fault drains are not bypassed"))
     return findings
 
 
@@ -501,7 +499,6 @@ FAULT_TOKEN_RE = re.compile(
     r"duplicate_prob|task_deadline_ticks")
 # The platform's shared sequential generator (member `rng_`).
 SHARED_RNG_RE = re.compile(r"(?<![\w.])rng_\s*\.")
-FORK_RE = re.compile(r"\.\s*Fork\s*\(")
 # Any Rng or ShortStream construction on the line: `Rng(...)` temporary or
 # `Rng name(...)` declaration. The argument text is scanned for a top-level
 # comma — one argument means no stream index was passed.
@@ -536,14 +533,6 @@ def check_fault_rng_stream(path: str, text: str) -> List[Finding]:
     findings = []
     for lineno, raw, code in iter_code_lines(text):
         if suppressed(raw, "fault-rng-stream"):
-            continue
-        if FORK_RE.search(code):
-            findings.append(Finding(
-                path, lineno, "fault-rng-stream",
-                "Rng::Fork() in the crowd simulator; forked streams depend "
-                "on consumption order — split an explicit "
-                "Rng(seed ^ salt, counter) or ShortStream(seed ^ salt, "
-                "counter) stream instead"))
             continue
         if not FAULT_TOKEN_RE.search(code):
             continue
@@ -866,14 +855,14 @@ SELF_TEST_CASES = [
      "single-publish-path", True),
     ("ExecuteRound in a bench", "bench/b.cc",
      "platform.ExecuteRound(tasks);\n", "single-publish-path", True),
-    ("allowed in session.cc", "src/exec/session.cc",
+    ("ExecuteRound in the session", "src/exec/session.cc",
      "auto answers = platform_->ExecuteRound(tasks, policy, observer);\n",
-     "single-publish-path", False),
-    ("allowed in scheduler.cc", "src/exec/scheduler.cc",
+     "single-publish-path", True),
+    ("ExecuteRound in the scheduler", "src/exec/scheduler.cc",
      "platform_->ExecuteRound(merged, nullptr, nullptr);\n",
-     "single-publish-path", False),
+     "single-publish-path", True),
     ("allowed inside the platform", "src/crowd/platform.cc",
-     "return ExecuteRound(tasks, policy, observer);\n",
+     "return markets_[0].ExecuteRound(tasks, policy, observer);\n",
      "single-publish-path", False),
     ("platform unit tests out of scope", "tests/crowd_test.cc",
      "auto answers = platform.ExecuteRound(tasks).value();\n",
@@ -888,8 +877,6 @@ SELF_TEST_CASES = [
     ("fault draw from shared rng_", "src/crowd/platform.cc",
      "if (rng_.Bernoulli(fault.abandon_prob)) {\n}\n",
      "fault-rng-stream", True),
-    ("Fork in crowd simulator", "src/crowd/platform.cc",
-     "Rng child = rng_.Fork();\n", "fault-rng-stream", True),
     ("single-arg Rng in fault logic", "src/crowd/platform.cc",
      "Rng r(options_.seed); bool x = r.Bernoulli(fault.straggler_prob);\n",
      "fault-rng-stream", True),
