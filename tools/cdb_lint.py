@@ -862,7 +862,7 @@ SELF_TEST_CASES = [
      "platform_->ExecuteRound(merged, nullptr, nullptr);\n",
      "single-publish-path", True),
     ("allowed inside the platform", "src/crowd/platform.cc",
-     "return markets_[0].ExecuteRound(tasks, policy, observer);\n",
+     "return ExecuteRound(tasks, policy, observer);\n",
      "single-publish-path", False),
     ("platform unit tests out of scope", "tests/crowd_test.cc",
      "auto answers = platform.ExecuteRound(tasks).value();\n",
