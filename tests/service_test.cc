@@ -4,11 +4,12 @@
 // ones, runs to completion, and compares edge colors, MetricsDump, and the
 // full stats signature (PlatformStatsDump included) against the
 // uninterrupted run, clean and under a hostile FaultProfile, on one market
-// and on two, at 1 and 8 threads, and digests pin every snapshot byte of four
-// such runs; (2) CdbService admits asynchronously with typed backpressure
-// (bounded queue, per-tenant budgets), steps thousands of sessions
-// deterministically at any thread count, and checkpoints live sessions such
-// that a rebuilt service finishes them byte-identically.
+// and on two, with MinCut and in budget mode, at 1 and 8 threads, and
+// digests pin every snapshot byte of six such runs and each run's final
+// registry blob; (2) CdbService admits asynchronously with typed
+// backpressure (bounded queue, per-tenant budgets), steps thousands of
+// sessions deterministically at any thread count, and checkpoints live
+// sessions such that a rebuilt service finishes them byte-identically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -102,6 +103,20 @@ ExecutorOptions HostileCrowd(uint64_t seed, int threads) {
 ExecutorOptions WithQualityControl(ExecutorOptions options) {
   options.quality_control = true;
   options.golden_tasks = 4;
+  return options;
+}
+
+// MinCut (Section 4.2): the sampled order fills the snapshot's
+// sampling-order section, which the expectation configs leave empty.
+ExecutorOptions WithMinCut(ExecutorOptions options) {
+  options.cost_method = CostMethod::kSampling;
+  return options;
+}
+
+// Budget-aware mode (Section 5.1.3): every published task and requester
+// repost is a ledger debit, so the blob carries a non-zero budget spend.
+ExecutorOptions WithBudget(ExecutorOptions options, int64_t budget) {
+  options.budget = budget;
   return options;
 }
 
@@ -257,11 +272,28 @@ TEST_F(ServiceTest, CrashPointResumeSweepTwoMarketsHostile) {
   }
 }
 
-// Every Snapshot() blob of four runs stepped to completion, digested with
+TEST_F(ServiceTest, CrashPointResumeSweepMinCut) {
+  for (int threads : {1, 8}) {
+    CrashPointSweep(&query_, WithMinCut(CleanCrowd(37, threads)), truth_,
+                    "mincut threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ServiceTest, CrashPointResumeSweepBudgetHostile) {
+  for (int threads : {1, 8}) {
+    CrashPointSweep(&query_, WithBudget(HostileCrowd(38, threads), 6), truth_,
+                    "budget hostile threads=" + std::to_string(threads));
+  }
+}
+
+// Every Snapshot() blob of six runs stepped to completion, digested with
 // its length: one clean market; one hostile market whose retry policy finds
 // dead letters pending at kCollect; CDB+ with golden tasks and answer
-// propagation; two hostile markets. Any moved checkpoint byte fails it, and
-// the digests are the same at 1 and 8 threads.
+// propagation; two hostile markets; MinCut, whose blobs carry a sampling
+// order; one hostile market in budget mode, whose blobs carry a budget
+// spend. A second digest pins the registry's SerializeState() blob after
+// each run. Any moved checkpoint byte fails it, and the digests are the
+// same at 1 and 8 threads.
 TEST_F(ServiceTest, SnapshotDigestsHold) {
   ExecutorOptions dead_letters = HostileCrowd(34, 1);
   dead_letters.platform.fault.abandon_prob = 0.5;
@@ -272,14 +304,26 @@ TEST_F(ServiceTest, SnapshotDigestsHold) {
     const char* name;
     ExecutorOptions options;
     uint64_t want;
+    uint64_t want_registry;
   };
   const Config configs[] = {
-      {"one clean market", CleanCrowd(34, 1), 0x01de5c53e6649eadULL},
+      {"one clean market", CleanCrowd(34, 1), 0x01de5c53e6649eadULL,
+       0x715a0838432047d2ULL},
       {"one hostile market, dead letters", dead_letters,
-       0x28fa01025d3c816dULL},
-      {"cdb+ golden propagation", cdb_plus, 0xa9648aa525a21dfbULL},
+       0x28fa01025d3c816dULL, 0x1cca257f9c076c5dULL},
+      {"cdb+ golden propagation", cdb_plus, 0xa9648aa525a21dfbULL,
+       0x0e7e66ac6c991b6cULL},
       {"two hostile markets", TwoMarkets(HostileCrowd(36, 1)),
-       0x98ed0d85ac064875ULL},
+       0x98ed0d85ac064875ULL, 0x1fb64991b33432d1ULL},
+      {"mincut", WithMinCut(CleanCrowd(37, 1)), 0xdd93d4a280bf58a7ULL,
+       0x7227d177113ae4daULL},
+      {"one hostile market, budget", WithBudget(HostileCrowd(38, 1), 6),
+       0x9ce971d1348a964bULL, 0xd4011b0ad858bb58ULL},
+  };
+  auto add_blob = [](testing_util::BitDigest& digest,
+                     const std::string& blob) {
+    digest.Add(static_cast<int64_t>(blob.size()));
+    digest.Add(blob);
   };
   for (const Config& config : configs) {
     for (int threads : {1, 8}) {
@@ -290,13 +334,9 @@ TEST_F(ServiceTest, SnapshotDigestsHold) {
       options.metrics = &registry;
       QuerySession session(&query_, options, truth_);
       testing_util::BitDigest digest;
-      auto add_blob = [&digest](const std::string& blob) {
-        digest.Add(static_cast<int64_t>(blob.size()));
-        digest.Add(blob);
-      };
       Counter& dead_lettered = registry.counter("crowd.dead_lettered");
       bool dead_letters_pending_at_collect = false;
-      add_blob(session.Snapshot());
+      add_blob(digest, session.Snapshot());
       while (true) {
         const SessionPhase entry = session.phase();
         const int64_t dead_before = dead_lettered.Value();
@@ -307,7 +347,7 @@ TEST_F(ServiceTest, SnapshotDigestsHold) {
             dead_lettered.Value() > dead_before) {
           dead_letters_pending_at_collect = true;
         }
-        add_blob(session.Snapshot());
+        add_blob(digest, session.Snapshot());
         if (!more.value()) break;
       }
       if (&config == &configs[1]) {
@@ -316,6 +356,11 @@ TEST_F(ServiceTest, SnapshotDigestsHold) {
       EXPECT_EQ(digest.value(), config.want)
           << config.name << " threads=" << threads << ": got 0x" << std::hex
           << digest.value();
+      testing_util::BitDigest registry_digest;
+      add_blob(registry_digest, registry.SerializeState());
+      EXPECT_EQ(registry_digest.value(), config.want_registry)
+          << config.name << " threads=" << threads << ": registry got 0x"
+          << std::hex << registry_digest.value();
     }
   }
 }
