@@ -68,15 +68,16 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
   std::vector<ChoiceObservation> observations;
 
   // Asks one edge through the crowd (sequentially — the baseline is a
-  // depth-first traversal) and colors it. Returns its resulting color.
-  auto ask = [&](EdgeId e) {
+  // depth-first traversal) and colors it.
+  auto ask = [&](EdgeId e) -> Status {
     Task task;
     task.id = e;
     task.type = TaskType::kSingleChoice;
     task.question = "budget-baseline pair check";
     task.choices = {"yes", "no"};
     task.payload = e;
-    std::vector<Answer> answers = publisher.Publish({task}, nullptr, nullptr).value();
+    CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                         publisher.Publish({task}, nullptr, nullptr));
     for (const Answer& answer : answers) {
       observations.push_back(
           ChoiceObservation{answer.task, answer.worker, answer.choice});
@@ -87,7 +88,7 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
     --budget_left;
     ++stats.tasks_asked;
     ++stats.rounds;
-    return graph_.edge(e).color;
+    return Status::Ok();
   };
 
   TraversalPlan plan = BuildTraversalPlan(graph_);
@@ -95,7 +96,8 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
   std::vector<Assignment> found;
 
   // Depth-first greedy extension; returns false when the budget ran out.
-  std::function<bool(size_t)> extend = [&](size_t depth) -> bool {
+  std::function<Result<bool>(size_t)> extend =
+      [&](size_t depth) -> Result<bool> {
     if (depth == plan.order.size()) {
       found.push_back(assignment);
       return true;
@@ -125,7 +127,7 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
         }
         if (graph_.edge(e).color == EdgeColor::kUnknown) {
           if (budget_left <= 0) return false;
-          ask(e);
+          CDB_RETURN_IF_ERROR(ask(e));
         }
         if (graph_.edge(e).color != EdgeColor::kBlue) {
           all_blue = false;
@@ -134,11 +136,9 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
       }
       if (!all_blue) continue;
       assignment[rel] = w;
-      if (!extend(depth + 1)) {
-        assignment[rel] = kNoVertex;
-        return false;
-      }
+      CDB_ASSIGN_OR_RETURN(const bool more, extend(depth + 1));
       assignment[rel] = kNoVertex;
+      if (!more) return false;
     }
     return true;
   };
@@ -163,7 +163,8 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
     if (budget_left <= 0) break;
     assignment.assign(static_cast<size_t>(graph_.num_relations()), kNoVertex);
     assignment[plan.order[0]] = start;
-    if (!extend(1)) break;
+    CDB_ASSIGN_OR_RETURN(const bool more, extend(1));
+    if (!more) break;
   }
 
   stats.worker_answers = publisher.stats().answers_collected;

@@ -110,7 +110,8 @@ Result<ExecutionResult> ErJoinExecutor::Run() {
         task.payload = e;
         tasks.push_back(std::move(task));
       }
-      std::vector<Answer> answers = publisher.Publish(tasks, nullptr, nullptr).value();
+      CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                           publisher.Publish(tasks, nullptr, nullptr));
       // Majority voting is memoryless: infer from this round's answers only
       // (re-running over the full history made long ER runs quadratic).
       std::vector<ChoiceObservation> round_observations;

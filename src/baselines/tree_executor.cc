@@ -70,7 +70,8 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
       asked_edges.push_back(e);
     }
     if (!tasks.empty()) {
-      std::vector<Answer> answers = publisher.Publish(tasks, nullptr, nullptr).value();
+      CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                           publisher.Publish(tasks, nullptr, nullptr));
       for (const Answer& answer : answers) {
         observations.push_back(
             ChoiceObservation{answer.task, answer.worker, answer.choice});

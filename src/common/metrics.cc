@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <cstdio>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -124,107 +123,77 @@ std::string MetricsRegistry::DumpJson() const {
 
 namespace {
 
-// Registry snapshot framing: magic + version up front, FNV-1a 64 trailer.
-constexpr uint32_t kMetricsSnapshotMagic = 0x4342444dU;  // "CDBM".
-constexpr uint32_t kMetricsSnapshotVersion = 1;
+// Magic "CDBM".
+constexpr BlobFormat kMetricsBlob = {"metrics snapshot", 0x4342444dU, 1};
+
+struct HistogramState {
+  int64_t count = 0;
+  int64_t sum = 0;
+  std::array<int64_t, Histogram::kNumBuckets> buckets{};
+};
+
+// The registry's checkpoint layout: counters, gauges and histograms as three
+// name-sorted lists, kept apart (a flattened name dump could not round-trip
+// a histogram through its ".bucketNN" rendering).
+struct RegistryState {
+  std::map<std::string, int64_t> counters;
+  std::map<std::string, int64_t> gauges;
+  std::map<std::string, HistogramState> histograms;
+};
+
+template <typename Io>
+Status Walk(Io& io, CodecRef<Io, HistogramState> histogram) {
+  return io(histogram.count, histogram.sum, histogram.buckets);
+}
+
+template <typename Io>
+Status Walk(Io& io, CodecRef<Io, RegistryState> state) {
+  return io(state.counters, state.gauges, state.histograms);
+}
+
+// The first key of `names` that any of `others` also holds, or null.
+template <typename Names, typename... Others>
+const std::string* SharedKey(const Names& names, const Others&... others) {
+  for (const auto& entry : names) {
+    if (((others.find(entry.first) != others.end()) || ...)) {
+      return &entry.first;
+    }
+  }
+  return nullptr;
+}
 
 }  // namespace
 
 std::string MetricsRegistry::SerializeState() const {
-  ByteWriter writer;
-  writer.PutU32(kMetricsSnapshotMagic);
-  writer.PutU32(kMetricsSnapshotVersion);
+  RegistryState state;
   {
     MutexLock lock(mutex_);
-    writer.PutU32(static_cast<uint32_t>(counters_.size()));
     for (const auto& [name, counter] : counters_) {
-      writer.PutString(name);
-      writer.PutI64(counter->Value());
+      state.counters.emplace(name, counter->Value());
     }
-    writer.PutU32(static_cast<uint32_t>(gauges_.size()));
     for (const auto& [name, gauge] : gauges_) {
-      writer.PutString(name);
-      writer.PutI64(gauge->Value());
+      state.gauges.emplace(name, gauge->Value());
     }
-    writer.PutU32(static_cast<uint32_t>(histograms_.size()));
     for (const auto& [name, histogram] : histograms_) {
-      writer.PutString(name);
-      writer.PutI64(histogram->count());
-      writer.PutI64(histogram->sum());
+      HistogramState& h = state.histograms[name];
+      h.count = histogram->count();
+      h.sum = histogram->sum();
       for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-        writer.PutI64(histogram->bucket(b));
+        h.buckets[static_cast<size_t>(b)] = histogram->bucket(b);
       }
     }
   }
-  writer.PutU64(SnapshotChecksum(writer.data()));
-  return writer.Take();
+  return SealBlob(kMetricsBlob, [&state](ByteWriter& writer) {
+    (void)writer(state);  // Encoding never fails.
+  });
 }
 
 Status MetricsRegistry::RestoreState(std::string_view blob) {
-  if (blob.size() < sizeof(uint64_t)) {
-    return Status::DataLoss("metrics snapshot shorter than its checksum");
-  }
-  std::string_view payload = blob.substr(0, blob.size() - sizeof(uint64_t));
-  ByteReader trailer(blob.substr(payload.size()));
-  uint64_t checksum = 0;
-  CDB_RETURN_IF_ERROR(trailer.GetU64(&checksum));
-  if (checksum != SnapshotChecksum(payload)) {
-    return Status::DataLoss("metrics snapshot checksum mismatch");
-  }
-  ByteReader reader(payload);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU32(&magic));
-  CDB_RETURN_IF_ERROR(reader.GetU32(&version));
-  if (magic != kMetricsSnapshotMagic) {
-    return Status::DataLoss("metrics snapshot magic mismatch");
-  }
-  if (version != kMetricsSnapshotVersion) {
-    return Status::FailedPrecondition(
-        "metrics snapshot version " + std::to_string(version) +
-        " not supported (expected " +
-        std::to_string(kMetricsSnapshotVersion) + ")");
-  }
-
+  CDB_ASSIGN_OR_RETURN(ByteReader reader, OpenBlob(blob, kMetricsBlob));
   // Parse fully before mutating, so a corrupt blob leaves the registry as it
   // was.
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
-  struct HistogramEntry {
-    std::string name;
-    int64_t count = 0;
-    int64_t sum = 0;
-    std::array<int64_t, Histogram::kNumBuckets> buckets{};
-  };
-  std::vector<HistogramEntry> histograms;
-  uint32_t n = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    int64_t value = 0;
-    CDB_RETURN_IF_ERROR(reader.GetString(&name));
-    CDB_RETURN_IF_ERROR(reader.GetI64(&value));
-    counters.emplace_back(std::move(name), value);
-  }
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    int64_t value = 0;
-    CDB_RETURN_IF_ERROR(reader.GetString(&name));
-    CDB_RETURN_IF_ERROR(reader.GetI64(&value));
-    gauges.emplace_back(std::move(name), value);
-  }
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  for (uint32_t i = 0; i < n; ++i) {
-    HistogramEntry entry;
-    CDB_RETURN_IF_ERROR(reader.GetString(&entry.name));
-    CDB_RETURN_IF_ERROR(reader.GetI64(&entry.count));
-    CDB_RETURN_IF_ERROR(reader.GetI64(&entry.sum));
-    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-      CDB_RETURN_IF_ERROR(reader.GetI64(&entry.buckets[static_cast<size_t>(b)]));
-    }
-    histograms.push_back(std::move(entry));
-  }
+  RegistryState state;
+  CDB_RETURN_IF_ERROR(reader(state));
   if (reader.remaining() != 0) {
     return Status::DataLoss("metrics snapshot has trailing bytes");
   }
@@ -234,16 +203,28 @@ Status MetricsRegistry::RestoreState(std::string_view blob) {
   // histogram() take the lock themselves and the restore path is quiescent.
   {
     MutexLock lock(mutex_);
+    // Each name keeps one type, within the blob and against this registry;
+    // the getters below abort on a clash, so refuse it before any change.
+    for (const std::string* clash :
+         {SharedKey(state.counters, state.gauges, state.histograms, gauges_,
+                    histograms_),
+          SharedKey(state.gauges, state.histograms, counters_, histograms_),
+          SharedKey(state.histograms, counters_, gauges_)}) {
+      if (clash != nullptr) {
+        return Status::DataLoss("metrics snapshot: metric '" + *clash +
+                                "' would get a second type");
+      }
+    }
     for (auto& [name, counter] : counters_) counter->Reset(0);
     for (auto& [name, gauge] : gauges_) gauge->Set(0);
     for (auto& [name, histogram] : histograms_) {
       histogram->Reset(0, 0, std::array<int64_t, Histogram::kNumBuckets>{});
     }
   }
-  for (const auto& [name, value] : counters) counter(name).Reset(value);
-  for (const auto& [name, value] : gauges) gauge(name).Set(value);
-  for (const HistogramEntry& entry : histograms) {
-    histogram(entry.name).Reset(entry.count, entry.sum, entry.buckets);
+  for (const auto& [name, value] : state.counters) counter(name).Reset(value);
+  for (const auto& [name, value] : state.gauges) gauge(name).Set(value);
+  for (const auto& [name, h] : state.histograms) {
+    histogram(name).Reset(h.count, h.sum, h.buckets);
   }
   return Status::Ok();
 }

@@ -132,11 +132,10 @@ class MetricsRegistry {
   [[nodiscard]] std::string DumpJson() const;
 
   // Typed snapshot of every registered metric (counters, gauges, and
-  // histograms kept distinct — a flattened name dump could not round-trip a
-  // histogram through the ".bucketNN" rendering). The blob is versioned and
-  // checksummed like a session snapshot; RestoreState on a corrupt blob
-  // returns Status::DataLoss and leaves the registry untouched-or-zeroed,
-  // never crashes. Restore zeroes metrics absent from the blob (handles stay
+  // histograms kept distinct), framed like a session snapshot
+  // (common/serialize.h). RestoreState refuses a corrupt blob, or one that
+  // would give a name a second type, as Status::DataLoss before it changes
+  // anything. Restore zeroes metrics absent from the blob (handles stay
   // valid — metrics are never erased) so a restored registry dumps
   // byte-identically to the snapshotted one. Both ends must be quiescent (no
   // concurrent Increment), which the checkpoint path guarantees.

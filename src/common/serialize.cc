@@ -11,76 +11,73 @@ uint64_t SnapshotChecksum(std::string_view data) {
   return hash;
 }
 
-void ByteWriter::PutFixed(const void* v, size_t n) {
-  // Little-endian byte order regardless of host: emit bytes low-to-high.
-  const auto* bytes = static_cast<const uint8_t*>(v);
-  uint64_t word = 0;
-  std::memcpy(&word, bytes, n);
-  for (size_t i = 0; i < n; ++i) {
+void ByteWriter::PutFixed(uint64_t word, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
     out_.push_back(static_cast<char>((word >> (8 * i)) & 0xff));
   }
 }
 
-void ByteWriter::PutString(std::string_view s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
+Status ByteReader::GetFixed(uint64_t* word, size_t width) {
+  if (remaining() < width) {
+    return Status::DataLoss("snapshot truncated: need " +
+                            std::to_string(width) + " bytes at offset " +
+                            std::to_string(pos_) + ", have " +
+                            std::to_string(remaining()));
+  }
+  *word = 0;
+  for (size_t i = 0; i < width; ++i) {
+    *word |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
+             << (8 * i);
+  }
+  pos_ += width;
+  return Status::Ok();
 }
 
-Status ByteReader::GetFixed(void* v, size_t n) {
-  if (remaining() < n) {
-    return Status::DataLoss("snapshot truncated: need " + std::to_string(n) +
-                            " bytes at offset " + std::to_string(pos_) +
-                            ", have " + std::to_string(remaining()));
-  }
+Status ByteReader::GetCount(uint32_t* count) {
   uint64_t word = 0;
-  for (size_t i = 0; i < n; ++i) {
-    word |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
+  CDB_RETURN_IF_ERROR(GetFixed(&word, sizeof(uint32_t)));
+  if (word > remaining()) {
+    return Status::DataLoss("snapshot corrupt: count " + std::to_string(word) +
+                            " at offset " + std::to_string(pos_ - 4) +
+                            " exceeds the " + std::to_string(remaining()) +
+                            " bytes left");
   }
-  std::memcpy(v, &word, n);
-  pos_ += n;
+  *count = static_cast<uint32_t>(word);
   return Status::Ok();
 }
 
-Status ByteReader::GetU8(uint8_t* v) {
-  if (remaining() < 1) {
-    return Status::DataLoss("snapshot truncated: need 1 byte at offset " +
-                            std::to_string(pos_));
-  }
-  *v = static_cast<uint8_t>(data_[pos_++]);
-  return Status::Ok();
+Status ByteReader::RangeError(const char* what, uint64_t value, uint64_t max,
+                              size_t at) {
+  return Status::DataLoss("snapshot corrupt: " + std::string(what) + " value " +
+                          std::to_string(value) + " at offset " +
+                          std::to_string(at) + " is above " +
+                          std::to_string(max));
 }
 
-Status ByteReader::GetBool(bool* v) {
-  uint8_t byte = 0;
-  CDB_RETURN_IF_ERROR(GetU8(&byte));
-  if (byte > 1) {
-    return Status::DataLoss("snapshot corrupt: bool byte " +
-                            std::to_string(byte) + " at offset " +
-                            std::to_string(pos_ - 1));
+Result<ByteReader> OpenBlob(std::string_view blob, const BlobFormat& format) {
+  const std::string name = format.name;
+  if (blob.size() < sizeof(uint64_t)) {
+    return Status::DataLoss(name + " shorter than its checksum");
   }
-  *v = byte != 0;
-  return Status::Ok();
-}
-
-Status ByteReader::GetString(std::string* s) {
-  uint32_t n = 0;
-  CDB_RETURN_IF_ERROR(GetU32(&n));
-  if (remaining() < n) {
-    return Status::DataLoss("snapshot truncated: string of " +
-                            std::to_string(n) + " bytes at offset " +
-                            std::to_string(pos_) + " overruns the blob");
+  const std::string_view body = blob.substr(0, blob.size() - sizeof(uint64_t));
+  uint64_t checksum = 0;
+  CDB_RETURN_IF_ERROR(ByteReader(blob.substr(body.size()))(checksum));
+  if (checksum != SnapshotChecksum(body)) {
+    return Status::DataLoss(name + " checksum mismatch");
   }
-  s->assign(data_.data() + pos_, n);
-  pos_ += n;
-  return Status::Ok();
-}
-
-Status ByteReader::GetDouble(double* v) {
-  uint64_t bits = 0;
-  CDB_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(v, &bits, sizeof(bits));
-  return Status::Ok();
+  ByteReader reader(body);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  CDB_RETURN_IF_ERROR(reader(magic, version));
+  if (magic != format.magic) {
+    return Status::DataLoss(name + " magic mismatch");
+  }
+  if (version != format.version) {
+    return Status::FailedPrecondition(
+        name + " version " + std::to_string(version) +
+        " not supported (expected " + std::to_string(format.version) + ")");
+  }
+  return reader;
 }
 
 }  // namespace cdb

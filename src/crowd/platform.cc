@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/serialize.h"
 #include "common/trace.h"
 
 namespace cdb {
@@ -503,110 +502,42 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
   return answers;
 }
 
-namespace {
-
 // Answer travels in snapshots with every field: the late buffer carries
 // tick/late metadata the requester's reconciliation depends on.
-void PutAnswer(ByteWriter& writer, const Answer& answer) {
-  writer.PutI64(answer.task);
-  writer.PutI32(answer.worker);
-  writer.PutI32(answer.choice);
-  writer.PutU32(static_cast<uint32_t>(answer.choice_set.size()));
-  for (int choice : answer.choice_set) writer.PutI32(choice);
-  writer.PutString(answer.text);
-  writer.PutI64(answer.tick);
-  writer.PutBool(answer.late);
+template <typename Io>
+Status Walk(Io& io, CodecRef<Io, Answer> answer) {
+  return io(answer.task, answer.worker, answer.choice, answer.choice_set,
+            answer.text, answer.tick, answer.late);
 }
 
-Status GetAnswer(ByteReader& reader, Answer* answer) {
-  CDB_RETURN_IF_ERROR(reader.GetI64(&answer->task));
-  CDB_RETURN_IF_ERROR(reader.GetI32(&answer->worker));
-  CDB_RETURN_IF_ERROR(reader.GetI32(&answer->choice));
-  uint32_t n = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  answer->choice_set.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CDB_RETURN_IF_ERROR(reader.GetI32(&answer->choice_set[i]));
-  }
-  CDB_RETURN_IF_ERROR(reader.GetString(&answer->text));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&answer->tick));
-  CDB_RETURN_IF_ERROR(reader.GetBool(&answer->late));
-  return Status::Ok();
-}
-
-}  // namespace
-
-void SnapshotPlatformStats(ByteWriter& writer, const PlatformStats& stats) {
-  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
-    writer.PutI64(stats.*row.field);
-  }
-}
-
-Status RestorePlatformStats(ByteReader& reader, PlatformStats* stats) {
-  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
-    CDB_RETURN_IF_ERROR(reader.GetI64(&(stats->*row.field)));
-  }
-  return Status::Ok();
+template <typename Io, typename Self>
+Status CrowdPlatform::WalkState(Io& io, Self& self, CodecRef<Io, uint64_t> seed,
+                                CodecRef<Io, int32_t> num_workers,
+                                CodecRef<Io, std::string> rng) {
+  return io(seed, num_workers, rng, self.stats_, self.tick_, self.lease_seq_,
+            self.late_answers_, self.dead_letter_, self.delivered_per_task_);
 }
 
 void CrowdPlatform::SnapshotState(ByteWriter& writer) const {
   // Identity guard: a snapshot only restores onto a platform built from the
   // same seed and worker pool (the pool is drawn from the seed at
   // construction, so these two fields pin the whole deterministic prefix).
-  writer.PutU64(options_.seed);
-  writer.PutI32(options_.num_workers);
-  writer.PutString(rng_.SaveState());
-  SnapshotPlatformStats(writer, stats_);
-  writer.PutI64(tick_);
-  writer.PutI64(lease_seq_);
-  writer.PutU32(static_cast<uint32_t>(late_answers_.size()));
-  for (const Answer& answer : late_answers_) PutAnswer(writer, answer);
-  writer.PutU32(static_cast<uint32_t>(dead_letter_.size()));
-  for (TaskId id : dead_letter_) writer.PutI64(id);
-  writer.PutU32(static_cast<uint32_t>(delivered_per_task_.size()));
-  for (const auto& [task, n] : delivered_per_task_) {
-    writer.PutI64(task);
-    writer.PutI64(n);
-  }
+  (void)WalkState(writer, *this, options_.seed, options_.num_workers,
+                  rng_.SaveState());  // Encoding never fails.
 }
 
 Status CrowdPlatform::RestoreState(ByteReader& reader) {
   uint64_t seed = 0;
   int32_t num_workers = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU64(&seed));
-  CDB_RETURN_IF_ERROR(reader.GetI32(&num_workers));
+  std::string rng_state;
+  CDB_RETURN_IF_ERROR(WalkState(reader, *this, seed, num_workers, rng_state));
   if (seed != options_.seed || num_workers != options_.num_workers) {
     return Status::FailedPrecondition(
         "platform snapshot belongs to a different platform configuration "
         "(seed/worker-pool mismatch)");
   }
-  std::string rng_state;
-  CDB_RETURN_IF_ERROR(reader.GetString(&rng_state));
   CDB_RETURN_IF_ERROR(rng_.LoadState(rng_state));
-  CDB_RETURN_IF_ERROR(RestorePlatformStats(reader, &stats_));
   mirror_.Rebase(stats_);
-  CDB_RETURN_IF_ERROR(reader.GetI64(&tick_));
-  CDB_RETURN_IF_ERROR(reader.GetI64(&lease_seq_));
-  uint32_t n = 0;
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  late_answers_.assign(n, Answer{});
-  for (uint32_t i = 0; i < n; ++i) {
-    CDB_RETURN_IF_ERROR(GetAnswer(reader, &late_answers_[i]));
-  }
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  dead_letter_.assign(n, TaskId{});
-  for (uint32_t i = 0; i < n; ++i) {
-    CDB_RETURN_IF_ERROR(reader.GetI64(&dead_letter_[i]));
-  }
-  CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  delivered_per_task_.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    TaskId task = 0;
-    int64_t count = 0;
-    CDB_RETURN_IF_ERROR(reader.GetI64(&task));
-    CDB_RETURN_IF_ERROR(reader.GetI64(&count));
-    delivered_per_task_[task] = count;
-  }
   return Status::Ok();
 }
 
@@ -719,18 +650,29 @@ PlatformStats PlatformPublisher::stats() const {
   return total;
 }
 
+namespace {
+
+// The shape byte and count (platform.h); a one-market publisher also
+// restores from the old one-entry form (0, count 1).
+template <typename Io>
+Status WalkShape(Io& io, CodecRef<Io, bool> one_market,
+                 CodecRef<Io, uint32_t> count) {
+  CDB_RETURN_IF_ERROR(io(one_market));
+  return one_market ? Status::Ok() : io(count);
+}
+
+}  // namespace
+
 void PlatformPublisher::SnapshotState(ByteWriter& writer) const {
-  const bool one_market = markets_.size() == 1;
-  writer.PutBool(one_market);
-  if (!one_market) writer.PutU32(static_cast<uint32_t>(markets_.size()));
+  (void)WalkShape(writer, markets_.size() == 1,  // Encoding never fails.
+                  static_cast<uint32_t>(markets_.size()));
   for (const CrowdPlatform& market : markets_) market.SnapshotState(writer);
 }
 
 Status PlatformPublisher::RestoreState(ByteReader& reader) {
   bool one_market = false;
-  CDB_RETURN_IF_ERROR(reader.GetBool(&one_market));
   uint32_t n = 1;
-  if (!one_market) CDB_RETURN_IF_ERROR(reader.GetU32(&n));
+  CDB_RETURN_IF_ERROR(WalkShape(reader, one_market, n));
   if (n != markets_.size()) {
     return Status::FailedPrecondition(
         "platform snapshot has " + std::to_string(n) +

@@ -28,14 +28,13 @@
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "crowd/task.h"
 #include "crowd/worker.h"
 
 namespace cdb {
 
-class ByteReader;
-class ByteWriter;
 class Tracer;
 
 // Salts separating the fault-schedule streams from every other consumer of
@@ -154,7 +153,7 @@ struct PlatformStats {
 
 // Every PlatformStats field, in declaration order, under the name of its
 // `crowd.<name>` counter. The one list of the fields: it also drives
-// PlatformStatsDump, PlatformPublisher::stats and the snapshot encoding.
+// PlatformStatsDump, PlatformPublisher::stats and the checkpoint walk below.
 inline constexpr StatField<PlatformStats> kPlatformStatFields[] = {
     {"tasks_published", &PlatformStats::tasks_published},
     {"answers_collected", &PlatformStats::answers_collected},
@@ -184,11 +183,16 @@ static_assert(sizeof(PlatformStats) ==
 // integer math, so the text matches the historical "%.6f" double format.
 std::string PlatformStatsDump(const PlatformStats& stats);
 
-// Fixed-order binary encoding of PlatformStats for session snapshots (every
-// field, in declaration order). Shared by the platform's own SnapshotState
-// and the session's ExecutionStats serialization.
-void SnapshotPlatformStats(ByteWriter& writer, const PlatformStats& stats);
-Status RestorePlatformStats(ByteReader& reader, PlatformStats* stats);
+// The checkpoint layout of PlatformStats (common/serialize.h): every field
+// as an i64, in kPlatformStatFields order. A market's own state and the
+// session's ExecutionStats both carry one.
+template <typename Io>
+Status Walk(Io& io, CodecRef<Io, PlatformStats> stats) {
+  for (const StatField<PlatformStats>& row : kPlatformStatFields) {
+    CDB_RETURN_IF_ERROR(io(stats.*row.field));
+  }
+  return Status::Ok();
+}
 
 // Thread affinity: driver-serial. The simulator is stepped only by the one
 // publish path (PlatformPublisher, enforced by the single-publish-path lint
@@ -250,6 +254,14 @@ class CrowdPlatform {
   Status RestoreState(ByteReader& reader);
 
  private:
+  // One market's checkpoint layout, walked by both hooks; `self` is this
+  // platform, const when encoding. RestoreState checks the identity guard
+  // (seed, worker count) and loads the rng text rather than assigning them.
+  template <typename Io, typename Self>
+  static Status WalkState(Io& io, Self& self, CodecRef<Io, uint64_t> seed,
+                          CodecRef<Io, int32_t> num_workers,
+                          CodecRef<Io, std::string> rng);
+
   // The pre-fault simulation loop: every leased task is answered immediately.
   Result<std::vector<Answer>> CleanRound(const std::vector<Task>& tasks,
                                          const AssignmentPolicy* policy,

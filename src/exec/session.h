@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "cost/ledger.h"
 #include "cost/structure_cache.h"
@@ -339,9 +340,10 @@ class QuerySession {
   // crash-point sweep in tests/service_test.cc proves this at every phase
   // boundary, clean and faulty, at 1 and 8 threads.
   //
-  // Errors are typed, never crashes: a truncated or bit-flipped blob yields
-  // kDataLoss, an unknown snapshot version kFailedPrecondition, and a blob
-  // from a mismatched platform configuration kFailedPrecondition.
+  // Errors are typed, never crashes: damaged bytes yield kDataLoss (also
+  // behind a recomputed checksum: a count above the bytes left, an edge id
+  // outside the rebuilt graph, a graph flag the phase contradicts), an
+  // unknown snapshot version or a mismatched platform kFailedPrecondition.
   //
   // Scheduler-mode caveat: a session publishing through an external
   // TaskPublisher snapshots its own state only — the shared platform belongs
@@ -398,6 +400,13 @@ class QuerySession {
   // Publishes result_.stats into the registry (see StatsMirror); every
   // public call that writes the stats ends with it.
   void PublishStats();
+  // The checkpoint layout of the state after the edge colors, walked by
+  // Snapshot() and Restore(); `self` is this session, const when encoding.
+  // Restore() checks the budget spend and answers-received slot.
+  template <typename Io, typename Self>
+  static Status WalkState(Io& io, Self& self,
+                          CodecRef<Io, int64_t> budget_spent,
+                          CodecRef<Io, int64_t> answers_received);
 
   // Registry handles of the counters with no ExecutionStats field, written
   // where they happen (all null when options_.metrics is unset).

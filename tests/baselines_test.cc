@@ -216,5 +216,31 @@ TEST_F(BaselineMiniTest, CdbBudgetModeBeatsBaselineRecall) {
   EXPECT_GT(cdb_recall, 0.0);
 }
 
+// ------------------------------------------------------ Publish errors ---
+
+// An abandoning crowd with no lease deadline is an unsatisfiable
+// FaultProfile: the round fails with kInvalidArgument, and each baseline's
+// Run() returns that status instead of aborting on it.
+TEST_F(BaselineMiniTest, PublishErrorIsReturnedNotFatal) {
+  PlatformOptions platform = PerfectPlatform();
+  platform.fault.abandon_prob = 0.5;
+  platform.fault.task_deadline_ticks = 0;
+
+  TreeExecutorOptions tree_options;
+  tree_options.platform = platform;
+  TreeModelExecutor tree(&query_, tree_options, truth_);
+  EXPECT_EQ(tree.Run().status().code(), StatusCode::kInvalidArgument);
+
+  ErExecutorOptions er_options;
+  er_options.platform = platform;
+  ErJoinExecutor er(&query_, er_options, truth_);
+  EXPECT_EQ(er.Run().status().code(), StatusCode::kInvalidArgument);
+
+  BudgetBaselineOptions budget_options;
+  budget_options.platform = platform;
+  BudgetBaselineExecutor budget(&query_, budget_options, truth_);
+  EXPECT_EQ(budget.Run().status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace cdb

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -130,6 +131,22 @@ ExecutorOptions TwoMarkets(ExecutorOptions options) {
   flower.seed = options.platform.seed + 1;
   options.markets = {options.platform, flower};
   return options;
+}
+
+// `payload` (a blob without its checksum trailer) sealed with a recomputed
+// checksum: how a hand-edited or hostile file gets past the checksum.
+std::string Reseal(const std::string& payload) {
+  ByteWriter checksum;
+  (void)checksum(SnapshotChecksum(payload));
+  return payload + checksum.data();
+}
+
+// `blob` with `bytes` written over it at `at`, resealed.
+std::string Patched(const std::string& blob, size_t at,
+                    const std::string& bytes) {
+  std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
+  payload.replace(at, bytes.size(), bytes);
+  return Reseal(payload);
 }
 
 class ServiceTest : public ::testing::Test {
@@ -705,26 +722,91 @@ TEST_F(ServiceTest, AnswersReceivedSlotMustMatchPhaseCounters) {
   }
   ASSERT_GT(received, 0);
   const std::string blob = donor.Snapshot();
-  auto reseal = [](std::string payload) {
-    ByteWriter checksum;
-    checksum.PutU64(SnapshotChecksum(payload));
-    return payload + checksum.data();
-  };
   std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
-  ASSERT_EQ(reseal(payload), blob);
+  ASSERT_EQ(Reseal(payload), blob);
   // The slot follows the empty inference posteriors and worker qualities,
   // and precedes the empty result-answer list.
   ByteWriter slot;
-  slot.PutU32(0);
-  slot.PutU32(0);
-  slot.PutI64(received);
-  slot.PutU32(0);
+  (void)slot(uint32_t{0}, uint32_t{0}, received, uint32_t{0});
   const size_t at = payload.find(slot.data());
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(payload.find(slot.data(), at + 1), std::string::npos);
   payload[at + 2 * sizeof(uint32_t)] ^= 0x01;
   QuerySession restored(&query_, options, truth_);
-  EXPECT_EQ(restored.Restore(reseal(payload)).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(restored.Restore(Reseal(payload)).code(), StatusCode::kDataLoss);
+}
+
+// The blob of a fresh session opens with a fixed prefix: magic (bytes 0-3),
+// version (4-7), phase (8), graph_built (9) and the sampling-order count
+// (10-13). A count above the bytes left is refused before anything is sized
+// from it; 0xFFFFFFFF edge ids used to ask the allocator for 16 GB.
+TEST_F(ServiceTest, CountAboveRemainingBytesIsDataLoss) {
+  QuerySession donor(&query_, CleanCrowd(40, 1), truth_);
+  ByteWriter count;
+  (void)count(uint32_t{0xFFFFFFFF});
+  QuerySession restored(&query_, CleanCrowd(40, 1), truth_);
+  EXPECT_EQ(
+      restored.Restore(Patched(donor.Snapshot(), 10, count.data())).code(),
+      StatusCode::kDataLoss);
+}
+
+// Every phase after kBuildGraph holds the graph and its pruner. A blob that
+// claims a later phase without the graph used to restore, and the next
+// Step() dereferenced the missing pruner.
+TEST_F(ServiceTest, GraphFlagMustMatchPhase) {
+  QuerySession donor(&query_, CleanCrowd(41, 1), truth_);
+  const std::string blob = donor.Snapshot();
+  ASSERT_EQ(blob[8], static_cast<char>(SessionPhase::kBuildGraph));
+  ASSERT_EQ(blob[9], 0);  // No graph.
+  const std::string select(1, static_cast<char>(SessionPhase::kSelectTasks));
+  QuerySession restored(&query_, CleanCrowd(41, 1), truth_);
+  EXPECT_EQ(restored.Restore(Patched(blob, 8, select)).code(),
+            StatusCode::kDataLoss);
+}
+
+// Edge ids in the sampling order must name edges of the rebuilt graph; one
+// past the end used to restore, and StepColor wrote past the graph's colors
+// and edge_provenance_. After MinCut's build step the sampling order
+// follows the count, colors and provenance bytes of the graph's edges.
+TEST_F(ServiceTest, SamplingOrderEdgeIdMustNameARebuiltEdge) {
+  const ExecutorOptions options = WithMinCut(CleanCrowd(42, 1));
+  QuerySession donor(&query_, options, truth_);
+  ASSERT_TRUE(donor.Step().value());
+  const int32_t num_edges = donor.graph().num_edges();
+  const std::string blob = donor.Snapshot();
+  const size_t order_at = 14 + 2 * static_cast<size_t>(num_edges);
+  uint32_t order_size = 0;
+  std::memcpy(&order_size, blob.data() + order_at, sizeof(order_size));
+  ASSERT_GT(order_size, 0u);
+  ByteWriter past_end;
+  (void)past_end(num_edges);
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(
+      restored.Restore(Patched(blob, order_at + 4, past_end.data())).code(),
+      StatusCode::kDataLoss);
+}
+
+// The same for a round task's payload (a negative payload marks a golden
+// task and stays valid). At kPublish the round's first task ends with its
+// payload, redundancy override and batch tag.
+TEST_F(ServiceTest, RoundTaskPayloadMustNameARebuiltEdge) {
+  const ExecutorOptions options = CleanCrowd(43, 1);
+  QuerySession donor(&query_, options, truth_);
+  while (donor.phase() != SessionPhase::kPublish) {
+    ASSERT_TRUE(donor.Step().value());
+  }
+  const Task& task = donor.pending_tasks().front();
+  ByteWriter tail;
+  (void)tail(task.payload, task.redundancy_override, task.batch_tag);
+  const std::string blob = donor.Snapshot();
+  const size_t at = blob.find(tail.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.find(tail.data(), at + 1), std::string::npos);
+  ByteWriter past_end;
+  (void)past_end(static_cast<int64_t>(donor.graph().num_edges()));
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(restored.Restore(Patched(blob, at, past_end.data())).code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(ServiceTest, CorruptCheckpointSurfacesAsSessionFailureNotCrash) {

@@ -18,6 +18,7 @@
 #include "bench_util/queries.h"
 #include "bench_util/sim_crowd.h"
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "common/trace.h"
 #include "cql/parser.h"
 #include "crowd/platform.h"
@@ -130,6 +131,32 @@ TEST(RegistryDeathTest, TypeCollisionIsFatal) {
   registry.counter("name");
   EXPECT_DEATH(registry.gauge("name"), "metric name registered");
   EXPECT_DEATH(registry.histogram("name"), "metric name registered");
+}
+
+// RestoreState gives no name a second type: not one the registry holds
+// under another type, and not one the blob lists twice. The getters it
+// calls used to abort; now the blob is refused as kDataLoss and the
+// registry keeps every value.
+TEST(RegistryTest, RestoreRefusesASecondTypeForAName) {
+  MetricsRegistry donor;
+  donor.counter("x").Increment(5);
+  donor.counter("y").Increment(2);
+  const std::string blob = donor.SerializeState();
+  const std::string twice = SealBlob(
+      {"metrics snapshot", 0x4342444dU, 1}, [](ByteWriter& writer) {
+        // Counter "z", gauge "z", no histograms.
+        (void)writer(std::map<std::string, int64_t>{{"z", 1}},
+                     std::map<std::string, int64_t>{{"z", 2}}, uint32_t{0});
+      });
+
+  MetricsRegistry registry;
+  registry.histogram("x").Observe(3);
+  registry.counter("y").Increment(9);
+  const std::string before = MetricsDump(registry);
+  EXPECT_EQ(registry.RestoreState(blob).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(MetricsDump(registry), before);
+  EXPECT_EQ(registry.RestoreState(twice).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(MetricsDump(registry), before);
 }
 
 TEST(TracerTest, SpansKeepCallOrder) {
