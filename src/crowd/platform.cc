@@ -503,9 +503,10 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
 }
 
 // Answer travels in snapshots with every field: the late buffer carries
-// tick/late metadata the requester's reconciliation depends on.
+// tick/late metadata the requester's reconciliation depends on. Static, in
+// namespace cdb: file-local, and found by argument-dependent lookup.
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, Answer> answer) {
+static Status Walk(Io& io, CodecRef<Io, Answer> answer) {
   return io(answer.task, answer.worker, answer.choice, answer.choice_set,
             answer.text, answer.tick, answer.late);
 }

@@ -183,9 +183,8 @@ static_assert(sizeof(PlatformStats) ==
 // integer math, so the text matches the historical "%.6f" double format.
 std::string PlatformStatsDump(const PlatformStats& stats);
 
-// The checkpoint layout of PlatformStats (common/serialize.h): every field
-// as an i64, in kPlatformStatFields order. A market's own state and the
-// session's ExecutionStats both carry one.
+// The checkpoint layout of PlatformStats: every field as an i64, in
+// kPlatformStatFields order (a market's state and ExecutionStats hold one).
 template <typename Io>
 Status Walk(Io& io, CodecRef<Io, PlatformStats> stats) {
   for (const StatField<PlatformStats>& row : kPlatformStatFields) {
@@ -255,8 +254,7 @@ class CrowdPlatform {
 
  private:
   // One market's checkpoint layout, walked by both hooks; `self` is this
-  // platform, const when encoding. RestoreState checks the identity guard
-  // (seed, worker count) and loads the rng text rather than assigning them.
+  // platform, const when encoding.
   template <typename Io, typename Self>
   static Status WalkState(Io& io, Self& self, CodecRef<Io, uint64_t> seed,
                           CodecRef<Io, int32_t> num_workers,

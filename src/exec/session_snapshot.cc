@@ -21,8 +21,9 @@
 // to its query — an edge-count or color mismatch is a typed error.
 //
 // Each layout is written once, as a walk over the codec of
-// common/serialize.h (the structs below, and WalkState for the state after
-// the colors); SealBlob/OpenBlob add the magic, version and checksum.
+// common/serialize.h: the struct walks below (static, in namespace cdb where
+// argument-dependent lookup finds them) and WalkState for the state after
+// the colors. SealBlob/OpenBlob add the magic, version and checksum.
 // Restore() keeps what only a restore needs: the graph rebuild, the color,
 // provenance, edge-id and answers-received checks, the budget replay and
 // the mirror rebase.
@@ -46,29 +47,29 @@ constexpr BlobFormat kSessionBlob = {"session snapshot", 0x43444253U,  // CDBS
                                      QuerySession::kSnapshotVersion};
 
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, ChoiceObservation> observation) {
+static Status Walk(Io& io, CodecRef<Io, ChoiceObservation> observation) {
   return io(observation.task, observation.worker, observation.choice);
 }
 
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, Task> task) {
+static Status Walk(Io& io, CodecRef<Io, Task> task) {
   return io(task.id, InRange{task.type, TaskType::kCollection}, task.question,
             task.choices, task.payload, task.redundancy_override,
             task.batch_tag);
 }
 
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, QueryAnswer> answer) {
+static Status Walk(Io& io, CodecRef<Io, QueryAnswer> answer) {
   return io(answer.rows);
 }
 
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, PhaseCounters> counters) {
+static Status Walk(Io& io, CodecRef<Io, PhaseCounters> counters) {
   return io(counters.steps, counters.tasks, counters.answers);
 }
 
 template <typename Io>
-Status Walk(Io& io, CodecRef<Io, ExecutionStats> stats) {
+static Status Walk(Io& io, CodecRef<Io, ExecutionStats> stats) {
   // selection_ms is deliberately absent: it is a wall-clock profiling
   // accumulator, the one ExecutionStats field that differs between two runs
   // of equal state. Serializing it would break the blob's determinism;

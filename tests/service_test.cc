@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -776,7 +776,8 @@ TEST_F(ServiceTest, SamplingOrderEdgeIdMustNameARebuiltEdge) {
   const std::string blob = donor.Snapshot();
   const size_t order_at = 14 + 2 * static_cast<size_t>(num_edges);
   uint32_t order_size = 0;
-  std::memcpy(&order_size, blob.data() + order_at, sizeof(order_size));
+  ASSERT_TRUE(ByteReader(std::string_view(blob).substr(order_at))(order_size)
+                  .ok());
   ASSERT_GT(order_size, 0u);
   ByteWriter past_end;
   (void)past_end(num_edges);
@@ -807,6 +808,31 @@ TEST_F(ServiceTest, RoundTaskPayloadMustNameARebuiltEdge) {
   QuerySession restored(&query_, options, truth_);
   EXPECT_EQ(restored.Restore(Patched(blob, at, past_end.data())).code(),
             StatusCode::kDataLoss);
+}
+
+// A one-market publisher writes shape byte 1 before its market's state. The
+// old one-entry form (shape byte 0, market count 1) still restores, into the
+// same state: the restored session snapshots back to the current form.
+TEST_F(ServiceTest, OneEntryPublisherFormStillRestores) {
+  const ExecutorOptions options = CleanCrowd(44, 1);
+  QuerySession donor(&query_, options, truth_);
+  ASSERT_TRUE(donor.Step().value());
+  const std::string blob = donor.Snapshot();
+  // The owned-platform flag, the shape byte, the market's seed and workers.
+  ByteWriter head;
+  (void)head(true, true, options.platform.seed,
+             int32_t{options.platform.num_workers});
+  const size_t at = blob.find(head.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.find(head.data(), at + 1), std::string::npos);
+  ByteWriter one_entry;
+  (void)one_entry(false, uint32_t{1});
+  std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
+  payload.replace(at + 1, 1, one_entry.data());
+  QuerySession restored(&query_, options, truth_);
+  const Status status = restored.Restore(Reseal(payload));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.Snapshot(), blob);
 }
 
 TEST_F(ServiceTest, CorruptCheckpointSurfacesAsSessionFailureNotCrash) {
