@@ -1,14 +1,17 @@
 // The session-pipeline contract: a Step()-driven QuerySession is
 // byte-identical to RunToCompletion(), pausable/resumable mid-query, and
 // MultiQueryScheduler's cross-query dedup preserves single-query answers
-// while strictly saving crowd work.
+// while strictly saving crowd work; digests pin every scheduled session's
+// blob, answers and stats.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "bench_util/metrics.h"
+#include "bench_util/queries.h"
 #include "cql/parser.h"
+#include "datagen/award_dataset.h"
 #include "datagen/mini_example.h"
 #include "exec/scheduler.h"
 #include "exec/session.h"
@@ -266,6 +269,105 @@ TEST_F(SessionTest, SharedHitsAreCountedForMergedRounds) {
   scheduler.AddQuery(&query_, PerfectCrowd(3), truth_);
   scheduler.RunAll().value();
   EXPECT_GT(scheduler.platform_stats().shared_hits, 0);
+}
+
+// Everything a scheduled session ends with: its checkpoint blob (colors,
+// observations, posteriors, budget spend), its answers, and its stats.
+void AddSessionDigest(testing_util::BitDigest& digest,
+                      const QuerySession& session,
+                      const ExecutionResult& result) {
+  digest.Add(session.Snapshot());
+  digest.Add(static_cast<int64_t>(result.answers.size()));
+  for (const QueryAnswer& answer : result.answers) {
+    for (int64_t row : answer.rows) digest.Add(row);
+  }
+  const ExecutionStats& stats = result.stats;
+  for (int64_t value :
+       {stats.tasks_asked, stats.rounds, stats.worker_answers,
+        stats.dedup_tasks_saved, stats.late_answers, stats.reposted_tasks}) {
+    digest.Add(value);
+  }
+  for (const PhaseCounters& counters : stats.phases) {
+    digest.Add(counters.steps);
+    digest.Add(counters.tasks);
+    digest.Add(counters.answers);
+  }
+  digest.Add(PlatformStatsDump(stats.platform));
+}
+
+// Four award queries on one shared market, {clean, hostile} x {retry off
+// under a global budget of 2000, retry on under 5000}, in that nesting
+// order. Each digest covers every session's output, the scheduler's stats
+// and the shared market's stats; it is the same at 1 and 8 threads. The
+// runs cover reposts, budget denials, cache hits and skipped deduced
+// fan-outs, so every path that hands a scheduled session its answers shows.
+TEST(SchedulerDigestTest, SchedulerSessionDigestsHold) {
+  const uint64_t kWant[4] = {0xe655b8a65bf98ad6ULL, 0x3a7ee6941f48b171ULL,
+                             0x96d5d553649de3caULL, 0xb2b8d6827d1d16efULL};
+  AwardDatasetOptions dataset_options;
+  dataset_options.scale = 0.1;
+  GeneratedDataset dataset = GenerateAwardDataset(dataset_options);
+  ResolvedQuery two_join = Resolve(dataset, AwardQueries()[0].cql);
+  ResolvedQuery with_selection = Resolve(dataset, AwardQueries()[1].cql);
+  EdgeTruthFn two_join_truth = MakeEdgeTruth(&dataset, &two_join);
+  EdgeTruthFn selection_truth = MakeEdgeTruth(&dataset, &with_selection);
+  MultiQueryStats seen;
+  for (int threads : {1, 8}) {
+    size_t i = 0;
+    for (bool hostile : {false, true}) {
+      for (bool retry : {false, true}) {
+        MultiQueryOptions mq;
+        mq.platform.seed = 19;
+        mq.platform.worker_quality_mean = 0.85;
+        mq.platform.redundancy = 3;
+        if (hostile) {
+          FaultProfile& fault = mq.platform.fault;
+          fault.straggler_prob = 0.5;
+          fault.straggler_delay_ticks = 40;
+          fault.task_deadline_ticks = 3;
+          fault.max_task_expiries = 1;
+          fault.abandon_prob = 0.2;
+          fault.duplicate_prob = 0.1;
+        }
+        mq.global_budget = retry ? 5000 : 2000;
+        MultiQueryScheduler scheduler(mq);
+        ExecutorOptions plain;
+        plain.retry.enabled = retry;
+        plain.num_threads = threads;
+        plain.graph.num_threads = threads;
+        ExecutorOptions quality = plain;
+        quality.quality_control = true;
+        ExecutorOptions propagating = plain;
+        propagating.propagation.enabled = true;
+        ExecutorOptions propagating_quality = propagating;
+        propagating_quality.quality_control = true;
+        propagating_quality.golden_tasks = 3;
+        scheduler.AddQuery(&two_join, propagating, two_join_truth);
+        scheduler.AddQuery(&two_join, propagating_quality, two_join_truth);
+        scheduler.AddQuery(&with_selection, plain, selection_truth);
+        scheduler.AddQuery(&with_selection, quality, selection_truth);
+        Result<std::vector<ExecutionResult>> results = scheduler.RunAll();
+        ASSERT_TRUE(results.ok()) << results.status().ToString();
+        testing_util::BitDigest digest;
+        for (size_t s = 0; s < scheduler.num_sessions(); ++s) {
+          AddSessionDigest(digest, scheduler.session(s), results.value()[s]);
+        }
+        for (const StatField<MultiQueryStats>& row : kSchedulerStatFields) {
+          digest.Add(scheduler.stats().*row.field);
+          seen.*row.field += scheduler.stats().*row.field;
+        }
+        digest.Add(PlatformStatsDump(scheduler.platform_stats()));
+        EXPECT_EQ(digest.value(), kWant[i])
+            << " threads=" << threads << " hostile=" << hostile
+            << " retry=" << retry;
+        ++i;
+      }
+    }
+  }
+  EXPECT_GT(seen.direct_tasks, 0);
+  EXPECT_GT(seen.budget_denied, 0);
+  EXPECT_GT(seen.cache_hits, 0);
+  EXPECT_GT(seen.dedup_tasks_saved, 0);
 }
 
 }  // namespace
