@@ -40,9 +40,9 @@ class UnionFind {
 
 }  // namespace
 
-CrowdGroupResult CrowdGroupBy(const std::vector<std::string>& values,
-                              const CrowdGroupOptions& options,
-                              const GroupTruthFn& truth) {
+Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
+                                      const CrowdGroupOptions& options,
+                                      const GroupTruthFn& truth) {
   CrowdGroupResult result;
   result.group_of.assign(values.size(), -1);
   if (values.empty()) return result;
@@ -131,8 +131,9 @@ CrowdGroupResult CrowdGroupBy(const std::vector<std::string>& values,
       batch_pairs.push_back(pair);
       tasks.push_back(std::move(task));
     }
-    InferenceResult majority =
-        MajorityPerRound(publisher.Publish(tasks, nullptr, nullptr).value());
+    CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                         publisher.Publish(tasks, nullptr, nullptr));
+    InferenceResult majority = MajorityPerRound(answers);
     for (size_t t = 0; t < tasks.size(); ++t) {
       const SimPair& pair = batch_pairs[t];
       if (majority.Truth(tasks[t].id) == 0) {
@@ -158,8 +159,8 @@ CrowdGroupResult CrowdGroupBy(const std::vector<std::string>& values,
   return result;
 }
 
-CrowdSortResult CrowdOrderBy(size_t n, const CrowdSortOptions& options,
-                             const OrderTruthFn& truth) {
+Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
+                                     const OrderTruthFn& truth) {
   CrowdSortResult result;
   if (n == 0) return result;
 
@@ -227,8 +228,9 @@ CrowdSortResult CrowdOrderBy(size_t n, const CrowdSortOptions& options,
         tasks.push_back(std::move(task));
       }
       if (tasks.empty()) break;
-      InferenceResult majority =
-          MajorityPerRound(publisher.Publish(tasks, nullptr, nullptr).value());
+      CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                           publisher.Publish(tasks, nullptr, nullptr));
+      InferenceResult majority = MajorityPerRound(answers);
       for (size_t t = 0; t < tasks.size(); ++t) {
         const PendingComparison& cmp = pending[static_cast<size_t>(tasks[t].payload)];
         Merge& merge = merges[cmp.merge_index];

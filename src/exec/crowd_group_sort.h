@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "crowd/platform.h"
 #include "similarity/similarity.h"
 
@@ -46,10 +47,11 @@ struct CrowdGroupResult {
 };
 
 // Groups `values` with crowd match tasks. `truth` answers a perfect worker's
-// "same group?" question; real workers err per their accuracy.
-CrowdGroupResult CrowdGroupBy(const std::vector<std::string>& values,
-                              const CrowdGroupOptions& options,
-                              const GroupTruthFn& truth);
+// "same group?" question; real workers err per their accuracy. A publish
+// error (e.g. a fault profile the platform refuses) is returned.
+Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
+                                      const CrowdGroupOptions& options,
+                                      const GroupTruthFn& truth);
 
 struct CrowdSortOptions {
   PlatformOptions platform;
@@ -64,8 +66,9 @@ struct CrowdSortResult {
 
 // Sorts indexes [0, n) with crowd pairwise comparisons (merge sort; each
 // merge level's independent comparisons are one crowdsourcing round batch).
-CrowdSortResult CrowdOrderBy(size_t n, const CrowdSortOptions& options,
-                             const OrderTruthFn& truth);
+// A publish error is returned.
+Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
+                                     const OrderTruthFn& truth);
 
 }  // namespace cdb
 

@@ -36,7 +36,7 @@ TEST(CrowdGroupByTest, RecoversTrueGroups) {
   CrowdGroupOptions options;
   options.platform = Perfect();
   CrowdGroupResult result =
-      CrowdGroupBy(GroupValues(), options, PrefixGroupTruth());
+      CrowdGroupBy(GroupValues(), options, PrefixGroupTruth()).value();
   EXPECT_EQ(result.num_groups, 3);
   EXPECT_EQ(result.group_of[0], result.group_of[1]);
   EXPECT_EQ(result.group_of[0], result.group_of[2]);
@@ -53,7 +53,8 @@ TEST(CrowdGroupByTest, TransitivitySavesTasks) {
   CrowdGroupOptions options;
   options.platform = Perfect();
   CrowdGroupResult result =
-      CrowdGroupBy(values, options, [](size_t, size_t) { return true; });
+      CrowdGroupBy(values, options, [](size_t, size_t) { return true; })
+          .value();
   EXPECT_EQ(result.num_groups, 1);
   EXPECT_LE(result.tasks_asked, 2);
 }
@@ -64,7 +65,8 @@ TEST(CrowdGroupByTest, EpsilonPrunesWithoutAsking) {
   CrowdGroupOptions options;
   options.platform = Perfect();
   CrowdGroupResult result =
-      CrowdGroupBy(values, options, [](size_t, size_t) { return true; });
+      CrowdGroupBy(values, options, [](size_t, size_t) { return true; })
+          .value();
   EXPECT_EQ(result.tasks_asked, 0);
   EXPECT_EQ(result.num_groups, 2);
 }
@@ -73,9 +75,30 @@ TEST(CrowdGroupByTest, EmptyInput) {
   CrowdGroupOptions options;
   options.platform = Perfect();
   CrowdGroupResult result =
-      CrowdGroupBy({}, options, [](size_t, size_t) { return false; });
+      CrowdGroupBy({}, options, [](size_t, size_t) { return false; }).value();
   EXPECT_EQ(result.num_groups, 0);
   EXPECT_TRUE(result.group_of.empty());
+}
+
+// A fault profile the platform refuses (abandons without a task deadline)
+// fails the first publish; both operators return its error instead of
+// aborting.
+TEST(CrowdGroupSortTest, PublishErrorIsReturned) {
+  PlatformOptions refused = Perfect();
+  refused.fault.abandon_prob = 0.1;
+  refused.fault.task_deadline_ticks = 0;
+  CrowdGroupOptions group_options;
+  group_options.platform = refused;
+  EXPECT_EQ(CrowdGroupBy(GroupValues(), group_options, PrefixGroupTruth())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  CrowdSortOptions sort_options;
+  sort_options.platform = refused;
+  EXPECT_EQ(CrowdOrderBy(4, sort_options, [](size_t a, size_t b) {
+              return a < b;
+            }).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CrowdOrderByTest, SortsPerfectly) {
@@ -83,9 +106,10 @@ TEST(CrowdOrderByTest, SortsPerfectly) {
   std::vector<int> key = {0, 7, 3, 10, 6, 2, 9, 5, 1, 8};
   CrowdSortOptions options;
   options.platform = Perfect();
-  CrowdSortResult result = CrowdOrderBy(
-      key.size(), options,
-      [&](size_t a, size_t b) { return key[a] < key[b]; });
+  CrowdSortResult result =
+      CrowdOrderBy(key.size(), options,
+                   [&](size_t a, size_t b) { return key[a] < key[b]; })
+          .value();
   ASSERT_EQ(result.order.size(), key.size());
   for (size_t i = 1; i < result.order.size(); ++i) {
     EXPECT_LT(key[result.order[i - 1]], key[result.order[i]]);
@@ -97,8 +121,9 @@ TEST(CrowdOrderByTest, TaskCountIsMergeSortLike) {
   const size_t n = 16;
   CrowdSortOptions options;
   options.platform = Perfect();
-  CrowdSortResult result = CrowdOrderBy(
-      n, options, [](size_t a, size_t b) { return a < b; });
+  CrowdSortResult result =
+      CrowdOrderBy(n, options, [](size_t a, size_t b) { return a < b; })
+          .value();
   // Merge sort asks at most n*log2(n) comparisons and at least n-1.
   EXPECT_GE(result.tasks_asked, static_cast<int64_t>(n - 1));
   EXPECT_LE(result.tasks_asked, static_cast<int64_t>(n) * 4);
@@ -110,8 +135,9 @@ TEST(CrowdOrderByTest, BatchesComparisonsAcrossMerges) {
   const size_t n = 32;
   CrowdSortOptions options;
   options.platform = Perfect();
-  CrowdSortResult result = CrowdOrderBy(
-      n, options, [](size_t a, size_t b) { return a < b; });
+  CrowdSortResult result =
+      CrowdOrderBy(n, options, [](size_t a, size_t b) { return a < b; })
+          .value();
   EXPECT_LT(result.rounds, result.tasks_asked);
 }
 
@@ -119,9 +145,10 @@ TEST(CrowdOrderByTest, SmallInputs) {
   CrowdSortOptions options;
   options.platform = Perfect();
   EXPECT_TRUE(CrowdOrderBy(0, options, [](size_t, size_t) { return true; })
+                  .value()
                   .order.empty());
   CrowdSortResult one =
-      CrowdOrderBy(1, options, [](size_t, size_t) { return true; });
+      CrowdOrderBy(1, options, [](size_t, size_t) { return true; }).value();
   ASSERT_EQ(one.order.size(), 1u);
   EXPECT_EQ(one.tasks_asked, 0);
 }
@@ -132,9 +159,10 @@ TEST(CrowdOrderByTest, NoisyCrowdStillPermutation) {
   CrowdSortOptions options;
   options.platform.worker_quality_mean = 0.7;
   options.platform.redundancy = 3;
-  CrowdSortResult result = CrowdOrderBy(
-      key.size(), options,
-      [&](size_t a, size_t b) { return key[a] < key[b]; });
+  CrowdSortResult result =
+      CrowdOrderBy(key.size(), options,
+                   [&](size_t a, size_t b) { return key[a] < key[b]; })
+          .value();
   std::set<size_t> seen(result.order.begin(), result.order.end());
   EXPECT_EQ(seen.size(), key.size());  // A permutation even with errors.
 }
