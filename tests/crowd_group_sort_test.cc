@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <set>
 
+#include "common/random.h"
+#include "datagen/perturb.h"
 #include "exec/crowd_group_sort.h"
+#include "tests/test_util.h"
 
 namespace cdb {
 namespace {
@@ -78,6 +81,52 @@ TEST(CrowdGroupByTest, EmptyInput) {
       CrowdGroupBy({}, options, [](size_t, size_t) { return false; }).value();
   EXPECT_EQ(result.num_groups, 0);
   EXPECT_TRUE(result.group_of.empty());
+}
+
+// Forty seeded inputs of 20-60 perturbed variants of six organization
+// names, grouped by a 0.75-quality crowd (redundancy 3, epsilon 0.2): wrong
+// answers record non-matches inside true groups and defer pairs across
+// rounds. One digest covers every result's groups, task count and rounds.
+TEST(CrowdGroupByTest, NoisyGroupingDigestHolds) {
+  const uint64_t kWant = 0x16698ca5831052aeULL;
+  const std::vector<std::string> stems = {
+      "University of Chicago",
+      "Stanford University",
+      "Institute of Computing Technology",
+      "Department of Computer Science",
+      "University of California Berkeley",
+      "National University of Singapore"};
+  testing_util::BitDigest digest;
+  int64_t tasks = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<std::string> values;
+    std::vector<int64_t> stem_of;
+    for (int64_t i = rng.UniformInt(20, 60); i > 0; --i) {
+      stem_of.push_back(rng.UniformInt(0, 5));
+      values.push_back(
+          PerturbOrgName(stems[static_cast<size_t>(stem_of.back())], rng));
+    }
+    CrowdGroupOptions options;
+    options.platform.worker_quality_mean = 0.75;
+    options.platform.redundancy = 3;
+    options.platform.seed = seed;
+    options.epsilon = 0.2;
+    Result<CrowdGroupResult> result =
+        CrowdGroupBy(values, options, [&](size_t a, size_t b) {
+          return stem_of[a] == stem_of[b];
+        });
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (int group : result.value().group_of) {
+      digest.Add(static_cast<int64_t>(group));
+    }
+    digest.Add(static_cast<int64_t>(result.value().num_groups));
+    digest.Add(result.value().tasks_asked);
+    digest.Add(result.value().rounds);
+    tasks += result.value().tasks_asked;
+  }
+  EXPECT_GT(tasks, 0);
+  EXPECT_EQ(digest.value(), kWant);
 }
 
 // A fault profile the platform refuses (abandons without a task deadline)
