@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -9,9 +10,11 @@
 
 namespace cdb {
 
-// The per-session TaskPublisher: session-private traffic (golden warm-up,
-// Collect-phase reposts) and fault-layer drains, translated between the
-// session's local task ids and the scheduler's shared id space.
+// The per-session TaskPublisher: the session's round, session-private
+// traffic (golden warm-up, Collect-phase reposts) and fault-layer drains,
+// translated between the session's local task ids and the scheduler's
+// shared id space. The assignment policy is ignored: the shared market
+// assigns round-robin (the id spaces differ).
 class MultiQueryScheduler::Channel : public TaskPublisher {
  public:
   Channel(MultiQueryScheduler* scheduler, size_t session)
@@ -19,15 +22,25 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
 
   Result<std::vector<Answer>> Publish(const std::vector<Task>& tasks,
                                       const AssignmentPolicy* /*policy*/,
-                                      const AnswerObserver* /*observer*/) override {
-    return scheduler_->DirectPublish(session_, tasks);
+                                      const AnswerObserver* observer) override {
+    // Golden warm-up (kBuildGraph) and reposts (kCollect) publish now.
+    if (!scheduler_->Parked(session_)) {
+      return scheduler_->DirectPublish(session_, tasks);
+    }
+    // The round: the merge barrier published it and filled the inbox, so
+    // the posteriors take the answers on delivery instead of per arrival.
+    std::vector<Answer> answers =
+        std::exchange(scheduler_->inbox_[session_], {});
+    if (observer != nullptr) {
+      for (const Answer& answer : answers) (*observer)(answer);
+    }
+    return answers;
   }
 
   std::vector<Answer> TakeLateAnswers() override {
-    scheduler_->RouteLateAnswers();
-    std::vector<Answer> out;
-    out.swap(scheduler_->pending_late_[session_]);
-    return out;
+    scheduler_->FanOut(scheduler_->platform_.TakeLateAnswers(), std::nullopt,
+                       /*at_barrier=*/false);
+    return std::exchange(scheduler_->pending_late_[session_], {});
   }
 
   void DropDeadLetters() override { scheduler_->platform_.DropDeadLetters(); }
@@ -83,6 +96,7 @@ size_t MultiQueryScheduler::AddQuery(const ResolvedQuery* query,
   session_options.tracer = options_.tracer;
   sessions_.push_back(std::make_unique<QuerySession>(
       query, session_options, std::move(truth), channels_.back().get()));
+  inbox_.emplace_back();
   pending_late_.emplace_back();
   return index;
 }
@@ -133,29 +147,29 @@ TaskId MultiQueryScheduler::ResolveGlobal(size_t session, const Task& task,
   return g;
 }
 
-bool MultiQueryScheduler::SkipDeducedFanout(size_t session, TaskId global,
-                                            TaskId local) {
-  // A session that already deduced this edge's color from transitive closure
-  // no longer needs the shared answers: delivering them anyway would either
-  // be ignored or promote the edge back into the reconcile path one answer
-  // at a time. The answers stay cached for other subscribers.
-  if (!sessions_[session]->HoldsDeducedColorFor(local)) return false;
-  if (deduced_fanout_counted_.insert({global, session}).second) {
-    ++stats_.dedup_tasks_saved;
-  }
-  return true;
-}
-
-void MultiQueryScheduler::RouteLateAnswers() {
-  for (const Answer& answer : platform_.TakeLateAnswers()) {
+void MultiQueryScheduler::FanOut(const std::vector<Answer>& answers,
+                                 std::optional<size_t> asker,
+                                 bool at_barrier) {
+  for (const Answer& answer : answers) {
     answer_cache_[answer.task].push_back(answer);
     auto it = subscribers_.find(answer.task);
     if (it == subscribers_.end()) continue;
     for (const auto& [j, local] : it->second) {
-      if (SkipDeducedFanout(j, answer.task, local)) continue;
+      // A session that already deduced this edge's color from transitive
+      // closure no longer needs the shared answers: delivering them anyway
+      // would either be ignored or promote the edge back into the reconcile
+      // path one answer at a time. The answers stay cached for other
+      // subscribers.
+      if (j != asker && sessions_[j]->HoldsDeducedColorFor(local)) {
+        if (deduced_fanout_counted_.insert({answer.task, j}).second) {
+          ++stats_.dedup_tasks_saved;
+        }
+        continue;
+      }
       Answer translated = answer;
       translated.task = local;
-      pending_late_[j].push_back(translated);
+      const bool in_band = j == asker || (at_barrier && Parked(j));
+      (in_band ? inbox_ : pending_late_)[j].push_back(std::move(translated));
     }
   }
 }
@@ -184,23 +198,8 @@ Result<std::vector<Answer>> MultiQueryScheduler::DirectPublish(
   // This session gets its answers back directly; any other subscriber of a
   // shared task receives its copies out of band (its next late-answer drain
   // reconciles them).
-  std::vector<Answer> own;
-  for (const Answer& answer : answers) {
-    answer_cache_[answer.task].push_back(answer);
-    auto it = subscribers_.find(answer.task);
-    if (it == subscribers_.end()) continue;
-    for (const auto& [j, local] : it->second) {
-      if (j != session && SkipDeducedFanout(j, answer.task, local)) continue;
-      Answer translated = answer;
-      translated.task = local;
-      if (j == session) {
-        own.push_back(std::move(translated));
-      } else {
-        pending_late_[j].push_back(std::move(translated));
-      }
-    }
-  }
-  return own;
+  FanOut(answers, session, /*at_barrier=*/false);
+  return std::exchange(inbox_[session], {});
 }
 
 Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
@@ -223,23 +222,21 @@ Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
 Status MultiQueryScheduler::RunRounds() {
   while (true) {
     // Advance every session until it parks at kPublish or finishes.
-    bool any_waiting = false;
-    for (auto& session : sessions_) {
-      while (!session->done() && !session->waiting_for_answers()) {
-        CDB_ASSIGN_OR_RETURN(bool more, session->Step());
-        if (!more) break;
+    bool any_parked = false;
+    for (size_t i = 0; i < sessions_.size(); ++i) {
+      while (!sessions_[i]->done() && !Parked(i)) {
+        CDB_RETURN_IF_ERROR(sessions_[i]->Step().status());
       }
-      any_waiting = any_waiting || session->waiting_for_answers();
+      any_parked = any_parked || Parked(i);
     }
-    if (!any_waiting) break;
+    if (!any_parked) break;
 
     // Merge barrier: resolve every parked session's round against the dedup
     // table, the answer cache, and the global ledger.
     std::vector<SessionBatch> batches;
-    std::vector<std::vector<Answer>> delivery(sessions_.size());
     std::set<TaskId> in_flight;  // Globals entering this merged round.
     for (size_t i = 0; i < sessions_.size(); ++i) {
-      if (!sessions_[i]->waiting_for_answers()) continue;
+      if (!Parked(i)) continue;
       SessionBatch batch;
       batch.session = static_cast<int>(i);
       for (const Task& task : sessions_[i]->pending_tasks()) {
@@ -255,7 +252,7 @@ Status MultiQueryScheduler::RunRounds() {
             for (const Answer& answer : cached->second) {
               Answer translated = answer;
               translated.task = task.id;
-              delivery[i].push_back(std::move(translated));
+              inbox_[i].push_back(std::move(translated));
             }
           } else {
             ++stats_.dedup_hits;
@@ -290,29 +287,14 @@ Status MultiQueryScheduler::RunRounds() {
       }
       ++stats_.merged_rounds;
       stats_.tasks_published += static_cast<int64_t>(merged.size());
-      for (const Answer& answer : answers) {
-        answer_cache_[answer.task].push_back(answer);
-        auto it = subscribers_.find(answer.task);
-        if (it == subscribers_.end()) continue;
-        for (const auto& [j, local] : it->second) {
-          if (SkipDeducedFanout(j, answer.task, local)) continue;
-          Answer translated = answer;
-          translated.task = local;
-          if (sessions_[j]->waiting_for_answers()) {
-            delivery[j].push_back(std::move(translated));
-          } else {
-            // Subscriber from an earlier round (already past kPublish):
-            // reconcile out of band like a late answer.
-            pending_late_[j].push_back(std::move(translated));
-          }
-        }
-      }
+      // A subscriber from an earlier round (already past kPublish)
+      // reconciles its copies out of band, like late answers.
+      FanOut(answers, std::nullopt, /*at_barrier=*/true);
     }
 
+    // Each parked session's Publish now returns its inbox.
     for (size_t i = 0; i < sessions_.size(); ++i) {
-      if (sessions_[i]->waiting_for_answers()) {
-        sessions_[i]->DeliverAnswers(delivery[i]);
-      }
+      if (Parked(i)) CDB_RETURN_IF_ERROR(sessions_[i]->Step().status());
     }
   }
   return Status::Ok();

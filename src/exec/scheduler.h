@@ -1,11 +1,14 @@
 // Multi-query execution against one shared crowd platform (Section 2.2: CDB
 // as a system serving many requesters).
 //
-// MultiQueryScheduler steps N QuerySessions concurrently. Each scheduling
-// round it advances every live session until it either finishes or parks at
-// kPublish, then merges all parked sessions' pending tasks into one shared
-// publish (MergeRoundBatches interleaves them so HITs mix queries), executes
-// it, and fans the answers back. Three things happen at the merge barrier:
+// MultiQueryScheduler steps N QuerySessions concurrently, through Step()
+// alone. Each scheduling round it advances every live session until it
+// either finishes or parks at kPublish, then merges all parked sessions'
+// pending tasks into one shared publish (MergeRoundBatches interleaves them
+// so HITs mix queries), executes it, fans the answers out into per-session
+// inboxes, and steps each parked session once: the session's own Publish
+// call, made through its channel, returns its inbox. Three things happen at
+// the merge barrier:
 //
 //  - Cross-query dedup: tasks with the same question (same tuple pair / same
 //    fill cell) are asked once; every subscribed (session, local-task) pair
@@ -123,8 +126,11 @@ class MultiQueryScheduler {
  private:
   class Channel;
 
-  // RunAll's round loop: steps and merges until no session waits.
+  // RunAll's round loop: steps and merges until no session parks.
   Status RunRounds();
+  bool Parked(size_t session) const {
+    return sessions_[session]->phase() == SessionPhase::kPublish;
+  }
   // Maps (session, local task) onto the shared id space, registering the
   // subscription; reuses the global id of an identical earlier ask.
   TaskId ResolveGlobal(size_t session, const Task& task, bool* existed);
@@ -134,13 +140,14 @@ class MultiQueryScheduler {
   // subscribers land in their late queues.
   Result<std::vector<Answer>> DirectPublish(size_t session,
                                             const std::vector<Task>& tasks);
-  // Drains the shared platform's late answers into per-session queues.
-  void RouteLateAnswers();
+  // The one answer fan-out: caches each answer under its global id and
+  // hands every subscriber a copy under its local id, skipping a subscriber
+  // that deduced the edge unless it is `asker`. The asker's copies, and at
+  // the merge barrier those of sessions parked at kPublish, go to the
+  // subscriber's inbox; every other copy goes to its late queue.
+  void FanOut(const std::vector<Answer>& answers, std::optional<size_t> asker,
+              bool at_barrier);
   TaskTruth GlobalTaskTruth(const Task& task) const;
-  // True (and counted, once per (global, session)) when fan-out of an answer
-  // for global task `global` to session `session` should be skipped because
-  // the session already deduced local edge `local`'s color.
-  bool SkipDeducedFanout(size_t session, TaskId global, TaskId local);
 
   MultiQueryOptions options_;
   // The shared market, built from options_.platform.
@@ -161,7 +168,9 @@ class MultiQueryScheduler {
   std::map<TaskId, std::vector<std::pair<size_t, TaskId>>> subscribers_;
   // Global id -> every answer seen so far (serves later duplicate asks).
   std::map<TaskId, std::vector<Answer>> answer_cache_;
-  // Per-session queues of translated out-of-band answers.
+  // Per-session queues of translated answers: in band (the answers the
+  // session's next Publish returns) and out of band (its late answers).
+  std::vector<std::vector<Answer>> inbox_;
   std::vector<std::vector<Answer>> pending_late_;
   // (global task, session) pairs already counted under dedup_tasks_saved, so
   // each redundant answer stream is a single saving, not one per answer.

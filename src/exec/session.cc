@@ -82,10 +82,7 @@ QuerySession::QuerySession(const ResolvedQuery* query,
     return assigner_(worker, available, count);
   };
   observer_ = [this](const Answer& answer) { assigner_.Observe(answer); };
-  if (publisher != nullptr) {
-    publisher_ = publisher;
-    external_publish_ = true;
-  } else {
+  if (publisher == nullptr) {
     // TaskId == EdgeId by construction; negative payloads mark golden
     // warm-up tasks.
     owned_publisher_ = std::make_unique<PlatformPublisher>(
@@ -93,8 +90,9 @@ QuerySession::QuerySession(const ResolvedQuery* query,
             ? std::vector<PlatformOptions>{options_.platform}
             : options_.markets,
         [this](const Task& task) { return TaskTruthFor(task); });
-    publisher_ = owned_publisher_.get();
+    publisher = owned_publisher_.get();
   }
+  publisher_ = publisher;
 }
 
 QuerySession::~QuerySession() = default;
@@ -110,14 +108,7 @@ TaskTruth QuerySession::TaskTruthFor(const Task& task) const {
   return truth;
 }
 
-bool QuerySession::waiting_for_answers() const {
-  return external_publish_ && phase_ == SessionPhase::kPublish;
-}
-
 Result<bool> QuerySession::Step() {
-  CDB_CHECK_MSG(!waiting_for_answers(),
-                "Step() while the scheduler owes this session a round of "
-                "answers; call DeliverAnswers() instead");
   if (phase_ == SessionPhase::kDone) return false;
   const SessionPhase entry = phase_;
   const int64_t tick_begin =
@@ -152,7 +143,7 @@ Result<bool> QuerySession::DispatchPhase(SessionPhase phase) {
 }
 
 Result<ExecutionResult> QuerySession::RunToCompletion() {
-  CDB_CHECK_MSG(!external_publish_,
+  CDB_CHECK_MSG(owned_publisher_ != nullptr,
                 "RunToCompletion drives standalone sessions only; "
                 "scheduler-mode sessions are stepped by MultiQueryScheduler");
   while (true) {
@@ -311,46 +302,17 @@ Result<bool> QuerySession::StepBatchRound() {
 }
 
 Result<bool> QuerySession::StepPublish() {
-  const AssignmentPolicy* round_policy =
-      options_.quality_control ? &policy_ : nullptr;
-  const AnswerObserver* round_observer =
-      options_.quality_control ? &observer_ : nullptr;
-  CDB_ASSIGN_OR_RETURN(
-      std::vector<Answer> answers,
-      publisher_->Publish(round_tasks_, round_policy, round_observer));
-  Counters().tasks += static_cast<int64_t>(round_tasks_.size());
-  Counters().answers += static_cast<int64_t>(answers.size());
-  Absorb(answers);
+  CDB_RETURN_IF_ERROR(PublishAndAbsorb(round_tasks_));
   phase_ = SessionPhase::kCollect;
   return true;
-}
-
-void QuerySession::DeliverAnswers(const std::vector<Answer>& answers) {
-  CDB_CHECK_MSG(waiting_for_answers(),
-                "DeliverAnswers on a session that is not parked at kPublish");
-  ++Counters().steps;
-  Counters().tasks += static_cast<int64_t>(round_tasks_.size());
-  Counters().answers += static_cast<int64_t>(answers.size());
-  if (options_.quality_control) {
-    // The shared platform assigns round-robin (the id spaces differ), so the
-    // posterior updates happen on delivery instead of per-arrival.
-    for (const Answer& answer : answers) assigner_.Observe(answer);
-  }
-  Absorb(answers);
-  phase_ = SessionPhase::kCollect;
-  PublishStats();
 }
 
 Result<bool> QuerySession::StepCollect() {
   // Requester-side timeout/repost: top up tasks the platform returned short
   // (abandoned, expired, dead-lettered) with capped exponential backoff.
-  // Each repost publishes only the shortfall. Reposts go straight to the
-  // publisher even in scheduler mode: a shortfall is private to the session
-  // that observed it.
-  const AssignmentPolicy* round_policy =
-      !external_publish_ && options_.quality_control ? &policy_ : nullptr;
-  const AnswerObserver* round_observer =
-      !external_publish_ && options_.quality_control ? &observer_ : nullptr;
+  // Each repost publishes only the shortfall. In scheduler mode the channel
+  // publishes reposts at once: a shortfall is private to the session that
+  // observed it.
   ExecutionStats& stats = result_.stats;
   if (options_.retry.enabled) {
     const int effective_redundancy = publisher_->effective_redundancy();
@@ -378,13 +340,8 @@ Result<bool> QuerySession::StepCollect() {
       publisher_->AdvanceTicks(backoff);
       Bump(metrics_.retry_waves);
       Bump(metrics_.backoff_ticks, backoff);
-      CDB_ASSIGN_OR_RETURN(
-          std::vector<Answer> more,
-          publisher_->Publish(reposts, round_policy, round_observer));
+      CDB_RETURN_IF_ERROR(PublishAndAbsorb(reposts));
       stats.reposted_tasks += static_cast<int64_t>(reposts.size());
-      Counters().tasks += static_cast<int64_t>(reposts.size());
-      Counters().answers += static_cast<int64_t>(more.size());
-      Absorb(more);
     }
     for (const Task& task : round_tasks_) {
       auto it = stats.unique_answers_per_task.find(task.id);
@@ -510,13 +467,25 @@ Result<bool> QuerySession::Finish() {
   stats.platform = publisher_->stats();
   // In scheduler mode the publisher's stats cover every co-scheduled
   // session; this session's own deliveries are its phase answer counts.
-  stats.worker_answers =
-      external_publish_ ? AnswersReceived() : stats.platform.answers_collected;
+  stats.worker_answers = owned_publisher_ != nullptr
+                             ? stats.platform.answers_collected
+                             : AnswersReceived();
   stats.hits_published = stats.platform.hits_published;
   stats.dollars_spent = stats.platform.dollars_spent();
   result_.answers = AssignmentsToAnswers(graph_, FindAnswers(graph_));
   phase_ = SessionPhase::kDone;
   return false;
+}
+
+Status QuerySession::PublishAndAbsorb(const std::vector<Task>& tasks) {
+  const bool assign = options_.quality_control;
+  CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                       publisher_->Publish(tasks, assign ? &policy_ : nullptr,
+                                           assign ? &observer_ : nullptr));
+  Counters().tasks += static_cast<int64_t>(tasks.size());
+  Counters().answers += static_cast<int64_t>(answers.size());
+  Absorb(answers);
+  return Status::Ok();
 }
 
 int64_t QuerySession::Absorb(const std::vector<Answer>& batch) {

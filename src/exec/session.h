@@ -27,13 +27,17 @@
 // their own state, a session can be paused between any two Step() calls,
 // resumed later, and interleaved with other sessions — the property
 // MultiQueryScheduler (scheduler.h) builds on. The same tasks, rounds and
-// PlatformStatsDump come out at every thread count.
+// PlatformStatsDump come out at every thread count. Step() is the only call
+// that advances a session, whichever driver makes it: RunToCompletion(),
+// CdbService (service.h) or the scheduler.
 //
 // All crowd traffic leaves through a TaskPublisher (crowd/platform.h). A
 // standalone session owns a PlatformPublisher over `options.markets`, or
 // over `options.platform` when that list is empty; a scheduled session
 // publishes through the scheduler's channel, which forwards to the
-// scheduler's own PlatformPublisher.
+// scheduler's own PlatformPublisher. The scheduler parks a scheduled session
+// at kPublish, publishes every parked round as one merged round, and then
+// steps the session: its Publish returns the session's share of the answers.
 #ifndef CDB_EXEC_SESSION_H_
 #define CDB_EXEC_SESSION_H_
 
@@ -139,7 +143,7 @@ struct ExecutorOptions {
   PropagationOptions propagation;    // Transitive deduction (off = legacy).
   // Observability sinks (borrowed, may be null = disabled). Propagated into
   // the owned platform/markets; the session itself publishes its
-  // ExecutionStats as `session.*` counters when Step(), DeliverAnswers() or
+  // ExecutionStats as `session.*` counters when Step() or
   // RecordDedupSavings() returns, and emits one tick-keyed span per Step().
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
@@ -268,9 +272,8 @@ class QuerySession {
                EdgeTruthFn truth);
 
   // Scheduler mode: crowd traffic goes through `publisher` (borrowed, must
-  // outlive the session). The session parks at kPublish with pending_tasks()
-  // exposed until the scheduler calls DeliverAnswers(); golden warm-up and
-  // Collect-phase reposts still go through `publisher` directly.
+  // outlive the session): golden warm-up, the round, and Collect-phase
+  // reposts alike.
   QuerySession(const ResolvedQuery* query, const ExecutorOptions& options,
                EdgeTruthFn truth, TaskPublisher* publisher);
 
@@ -279,8 +282,7 @@ class QuerySession {
   QuerySession& operator=(const QuerySession&) = delete;
 
   // Advances exactly one phase. Returns true while the session has more work
-  // and false once it is done. Must not be called while
-  // waiting_for_answers(); RunToCompletion() and the scheduler handle that.
+  // and false once it is done.
   Result<bool> Step();
 
   // Steps the session to completion (standalone sessions only) and returns
@@ -290,12 +292,8 @@ class QuerySession {
   SessionPhase phase() const { return phase_; }
   bool done() const { return phase_ == SessionPhase::kDone; }
 
-  // Scheduler mode: true when the session sits at kPublish with a round
-  // ready; the scheduler reads pending_tasks(), publishes them (merged and
-  // deduplicated with other sessions), and resumes via DeliverAnswers().
-  bool waiting_for_answers() const;
+  // The round a session at kPublish is about to publish.
   const std::vector<Task>& pending_tasks() const { return round_tasks_; }
-  void DeliverAnswers(const std::vector<Answer>& answers);
 
   // Ground truth for one of this session's tasks (golden or edge); the
   // scheduler's shared platform routes truth lookups back here.
@@ -346,9 +344,9 @@ class QuerySession {
   // unknown snapshot version or a mismatched platform kFailedPrecondition.
   //
   // Scheduler-mode caveat: a session publishing through an external
-  // TaskPublisher snapshots its own state only — the shared platform belongs
-  // to the scheduler. Snapshot() must not be called while
-  // waiting_for_answers() (the merge barrier owes the session a round).
+  // TaskPublisher snapshots its own state only — the shared platform, the
+  // answer cache and the answers the merge barrier holds for a session
+  // parked at kPublish belong to the scheduler.
   [[nodiscard]] std::string Snapshot() const;
   Status Restore(std::string_view blob);
 
@@ -370,6 +368,9 @@ class QuerySession {
   Result<bool> StepPrune();
   // Terminal transition: final late-answer reconciliation + result assembly.
   Result<bool> Finish();
+  // Publishes `tasks` with the assigner as policy and observer (CDB+ only)
+  // and absorbs the answers; the entry phase counts both.
+  Status PublishAndAbsorb(const std::vector<Task>& tasks);
 
   // Unique-(task, worker) guard: the fault layer can deliver duplicate and
   // late copies of an answer, and requester reposts can reach workers that
@@ -448,11 +449,11 @@ class QuerySession {
   // deterministically from the restored graph, never serialized)
   std::optional<StructureCache> structure_cache_;
 
+  // Null for a scheduled session.
   std::unique_ptr<PlatformPublisher> owned_publisher_;
   // cdb-snapshot: transient(alias set at construction; points at
   // owned_publisher_ or the scheduler's external channel, never replaced)
   TaskPublisher* publisher_ = nullptr;
-  bool external_publish_ = false;
 
   // Quality-control state (CDB+): accumulated observations, EM worker
   // qualities carried across rounds, and live posteriors for the assigner.

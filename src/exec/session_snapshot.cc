@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/serialize.h"
 #include "exec/session.h"
 
@@ -95,9 +94,6 @@ Status QuerySession::WalkState(Io& io, Self& self,
 }
 
 std::string QuerySession::Snapshot() const {
-  CDB_CHECK_MSG(!waiting_for_answers(),
-                "Snapshot() while the scheduler owes this session a round of "
-                "answers; snapshot between scheduling rounds instead");
   // Encoding never fails: the writer's Status results are always Ok.
   return SealBlob(kSessionBlob, [this](ByteWriter& writer) {
     // Graph colors only; structure rebuilds from the query (file comment).
@@ -116,10 +112,10 @@ std::string QuerySession::Snapshot() const {
     (void)WalkState(writer, *this, budget_.spent(), AnswersReceived());
 
     // Standalone sessions own their platform; its rng/clock/lease state
-    // rides in the same blob. Scheduler-mode sessions publish through a
-    // shared platform the scheduler checkpoints itself.
-    (void)writer(!external_publish_);
-    if (!external_publish_) owned_publisher_->SnapshotState(writer);
+    // rides in the same blob. Scheduler-mode sessions publish through the
+    // scheduler's shared platform, which this blob does not hold.
+    (void)writer(owned_publisher_ != nullptr);
+    if (owned_publisher_ != nullptr) owned_publisher_->SnapshotState(writer);
   });
 }
 
@@ -250,7 +246,7 @@ Status QuerySession::Restore(std::string_view blob) {
 
   bool owned_platform = false;
   CDB_RETURN_IF_ERROR(reader(owned_platform));
-  if (owned_platform != !external_publish_) {
+  if (owned_platform != (owned_publisher_ != nullptr)) {
     return Status::FailedPrecondition(
         "session snapshot publisher mode (standalone vs scheduler) does not "
         "match this session");

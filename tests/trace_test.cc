@@ -319,9 +319,31 @@ TEST(TraceDeterminismTest, MetricsAndTraceByteIdenticalAcrossThreads) {
   }
 }
 
+ResolvedQuery ResolveQuery(const GeneratedDataset& dataset, const char* cql) {
+  Statement stmt = ParseStatement(cql).value();
+  return AnalyzeSelect(std::get<SelectStatement>(stmt), dataset.catalog)
+      .value();
+}
+
+// One span per counted step: each phase's `session.<phase>` spans number
+// its `session.phase.<phase>.steps` counter.
+void ExpectOneSpanPerStep(MetricsRegistry& registry, const Tracer& tracer,
+                          const std::string& where) {
+  std::map<std::string, int64_t> spans;
+  for (const TraceSpan& span : tracer.Spans()) ++spans[span.name];
+  for (int p = 0; p < kNumSessionPhases; ++p) {
+    const std::string phase = SessionPhaseName(static_cast<SessionPhase>(p));
+    EXPECT_EQ(spans["session." + phase],
+              registry.counter("session.phase." + phase + ".steps").Value())
+        << where << ": " << phase;
+  }
+}
+
 TEST(TraceDeterminismTest, SessionPhasesAndRoundsAreInstrumented) {
   // Spot-check that the instrumentation actually fires end to end: phase
-  // spans and session counters must be present after a hostile run.
+  // spans and session counters must be present after a hostile run, and
+  // every driver (RunToCompletion, the scheduler, the service) emits one
+  // span per counted step.
   MetricsRegistry registry;
   Tracer tracer;
   SimCrowdConfig config;
@@ -346,6 +368,44 @@ TEST(TraceDeterminismTest, SessionPhasesAndRoundsAreInstrumented) {
   }
   EXPECT_TRUE(saw_session_span);
   EXPECT_TRUE(saw_crowd_span);
+  ExpectOneSpanPerStep(registry, tracer, "RunToCompletion");
+
+  GeneratedDataset dataset = MakeMiniPaperExample();
+  ResolvedQuery query = ResolveQuery(dataset, kMiniExampleQuery);
+  EdgeTruthFn truth = MakeEdgeTruth(&dataset, &query);
+  ExecutorOptions quality;
+  quality.quality_control = true;
+  quality.golden_tasks = 2;
+
+  MetricsRegistry scheduled_registry;
+  Tracer scheduled_tracer;
+  MultiQueryOptions mq;
+  mq.platform.redundancy = 3;
+  mq.platform.fault = HostileProfile();
+  mq.metrics = &scheduled_registry;
+  mq.tracer = &scheduled_tracer;
+  MultiQueryScheduler scheduler(mq);
+  scheduler.AddQuery(&query, ExecutorOptions{}, truth);
+  scheduler.AddQuery(&query, quality, truth);
+  ASSERT_TRUE(scheduler.RunAll().ok());
+  EXPECT_GT(
+      scheduled_registry.counter("session.phase.publish.steps").Value(), 0);
+  ExpectOneSpanPerStep(scheduled_registry, scheduled_tracer, "scheduler");
+
+  MetricsRegistry service_registry;
+  Tracer service_tracer;
+  CdbService service(ServiceOptions{});
+  for (const ExecutorOptions& base : {ExecutorOptions{}, quality}) {
+    ExecutorOptions options = base;
+    options.platform.redundancy = 3;
+    options.platform.fault = HostileProfile();
+    options.metrics = &service_registry;
+    options.tracer = &service_tracer;
+    ASSERT_TRUE(service.Submit("alice", &query, options, truth).ok());
+  }
+  service.RunUntilDrained();
+  EXPECT_EQ(service.stats().completed, 2);
+  ExpectOneSpanPerStep(service_registry, service_tracer, "service");
 }
 
 TEST(TraceDeterminismTest, QualityControlEmitsEmMetrics) {
@@ -362,12 +422,6 @@ TEST(TraceDeterminismTest, QualityControlEmitsEmMetrics) {
   EXPECT_GT(registry.counter("quality.em.iterations").Value(), 0);
   EXPECT_EQ(registry.histogram("quality.em.iterations_per_run").count(),
             registry.counter("quality.em.runs").Value());
-}
-
-ResolvedQuery ResolveQuery(const GeneratedDataset& dataset, const char* cql) {
-  Statement stmt = ParseStatement(cql).value();
-  return AnalyzeSelect(std::get<SelectStatement>(stmt), dataset.catalog)
-      .value();
 }
 
 // --- The registry is a view of the stats structs after every public call --
@@ -531,9 +585,9 @@ TEST(RegistryViewTest, SessionAfterEveryStepAndRestore) {
 }
 
 // A scheduler-mode session driven by hand: the merge barrier's two calls
-// into the session, DeliverAnswers() and RecordDedupSavings(), publish
-// before they return.
-TEST(RegistryViewTest, SessionAfterDeliverAnswersAndDedupSavings) {
+// into the session, the Step() that publishes its round and
+// RecordDedupSavings(), publish before they return.
+TEST(RegistryViewTest, SessionAfterPublishAndDedupSavings) {
   class PlatformChannel : public TaskPublisher {
    public:
     explicit PlatformChannel(CrowdPlatform* platform) : platform_(platform) {}
@@ -578,25 +632,18 @@ TEST(RegistryViewTest, SessionAfterDeliverAnswersAndDedupSavings) {
   QuerySession session(&query, options, truth, &channel);
   session_ptr = &session;
 
-  int64_t deliveries = 0;
+  int64_t publishes = 0;
   while (!session.done()) {
-    if (session.waiting_for_answers()) {
-      Result<std::vector<Answer>> answers =
-          platform.ExecuteRound(session.pending_tasks());
-      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-      session.DeliverAnswers(answers.value());
-      ++deliveries;
-      ExpectSessionView(registry, session.stats(),
-                        "DeliverAnswers " + std::to_string(deliveries));
-      session.RecordDedupSavings(2);
-      ExpectSessionView(registry, session.stats(),
-                        "RecordDedupSavings " + std::to_string(deliveries));
-      continue;
-    }
+    const bool publish = session.phase() == SessionPhase::kPublish;
     ASSERT_TRUE(session.Step().ok());
     ExpectSessionView(registry, session.stats(), "Step");
+    if (!publish) continue;
+    ++publishes;
+    session.RecordDedupSavings(2);
+    ExpectSessionView(registry, session.stats(),
+                      "RecordDedupSavings " + std::to_string(publishes));
   }
-  EXPECT_GT(deliveries, 0);
+  EXPECT_GT(publishes, 0);
   ExpectView(registry, "crowd.", kPlatformStatFields, platform.stats(),
              "finished");
 }
