@@ -232,6 +232,22 @@ Status QuerySession::Restore(std::string_view blob) {
                               std::to_string(task.payload) + " out of range");
     }
   }
+  // Every task is a yes/no question: answers are choice 0 or 1, and
+  // StepBatchRound writes two-entry posterior rows. EM and the assigner
+  // index by both.
+  for (const ChoiceObservation& o : all_observations_) {
+    if (o.choice != 0 && o.choice != 1) {
+      return Status::DataLoss("session snapshot: observation choice " +
+                              std::to_string(o.choice) + " is not 0 or 1");
+    }
+  }
+  for (const auto& [task, row] : posteriors_) {
+    if (row.size() != 2) {
+      return Status::DataLoss("session snapshot: posterior row of task " +
+                              std::to_string(task) + " has " +
+                              std::to_string(row.size()) + " entries, not 2");
+    }
+  }
   if (answers_received != AnswersReceived()) {
     return Status::DataLoss(
         "session snapshot: answers-received slot disagrees with the phase "

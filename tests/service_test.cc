@@ -12,6 +12,7 @@
 // sessions such that a rebuilt service finishes them byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <sstream>
@@ -734,6 +735,74 @@ TEST_F(ServiceTest, AnswersReceivedSlotMustMatchPhaseCounters) {
   payload[at + 2 * sizeof(uint32_t)] ^= 0x01;
   QuerySession restored(&query_, options, truth_);
   EXPECT_EQ(restored.Restore(Reseal(payload)).code(), StatusCode::kDataLoss);
+}
+
+// Every answer is choice 0 or 1 of a yes/no task. A blob with another
+// choice used to restore, and the next kInfer step read EM's posterior row
+// out of bounds. Under expectation cost control the sampling-order count
+// (0) follows the colors and provenance bytes; then come the observation
+// count and the first observation (task i64, worker i32, choice i32).
+TEST_F(ServiceTest, ObservationChoiceMustBeZeroOrOne) {
+  const ExecutorOptions options = WithQualityControl(CleanCrowd(9, 1));
+  QuerySession donor(&query_, options, truth_);
+  while (donor.phase() != SessionPhase::kCollect) {
+    ASSERT_TRUE(donor.Step().value());
+  }
+  const std::string blob = donor.Snapshot();
+  const size_t observations_at =
+      18 + 2 * static_cast<size_t>(donor.graph().num_edges());
+  uint32_t num_observations = 0;
+  int32_t choice = -1;
+  ByteReader reader(std::string_view(blob).substr(observations_at));
+  ASSERT_TRUE(reader(num_observations).ok());
+  ASSERT_GT(num_observations, 0u);
+  const size_t choice_at = observations_at + 4 + 8 + 4;
+  ASSERT_TRUE(
+      ByteReader(std::string_view(blob).substr(choice_at))(choice).ok());
+  ASSERT_TRUE(choice == 0 || choice == 1);
+  ByteWriter other_answer;
+  (void)other_answer(int32_t{1 - choice});
+  QuerySession flipped(&query_, options, truth_);
+  EXPECT_TRUE(flipped.Restore(Patched(blob, choice_at, other_answer.data()))
+                  .ok());
+  ByteWriter out_of_range;
+  (void)out_of_range(int32_t{1000000});
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(
+      restored.Restore(Patched(blob, choice_at, out_of_range.data())).code(),
+      StatusCode::kDataLoss);
+}
+
+// StepBatchRound writes two-entry posterior rows (the edge's similarity
+// prior). A row of another length used to restore, and the assigner's
+// scoring or the next answer's posterior update aborted. At kPublish the
+// lowest round task's row is the first: task i64, count u32, two doubles.
+TEST_F(ServiceTest, PosteriorRowMustHoldTwoChoices) {
+  const ExecutorOptions options = WithQualityControl(CleanCrowd(9, 1));
+  QuerySession donor(&query_, options, truth_);
+  while (donor.phase() != SessionPhase::kPublish) {
+    ASSERT_TRUE(donor.Step().value());
+  }
+  TaskId first = donor.pending_tasks().front().id;
+  for (const Task& task : donor.pending_tasks()) first = std::min(first, task.id);
+  const double weight = donor.graph().edge(static_cast<EdgeId>(first)).weight;
+  ByteWriter row;
+  (void)row(first, uint32_t{2}, weight, 1.0 - weight);
+  const std::string blob = donor.Snapshot();
+  std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
+  const size_t at = payload.find(row.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(row.data(), at + 1), std::string::npos);
+  for (uint32_t length : {0u, 1u, 3u}) {
+    ByteWriter patched_row;
+    (void)patched_row(first, length);
+    for (uint32_t k = 0; k < length; ++k) (void)patched_row(weight);
+    std::string patched = payload;
+    patched.replace(at, row.data().size(), patched_row.data());
+    QuerySession restored(&query_, options, truth_);
+    EXPECT_EQ(restored.Restore(Reseal(patched)).code(), StatusCode::kDataLoss)
+        << "length " << length;
+  }
 }
 
 // The blob of a fresh session opens with a fixed prefix: magic (bytes 0-3),
