@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <unordered_set>
 
-#include "common/logging.h"
-#include "exec/session.h"
+#include "graph/propagation.h"
 #include "quality/truth_inference.h"
 #include "similarity/sim_join.h"
 
@@ -22,21 +22,6 @@ InferenceResult MajorityPerRound(const std::vector<Answer>& answers) {
   }
   return InferSingleChoiceMajority(obs, 2);
 }
-
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    for (size_t i = 0; i < n; ++i) parent_[i] = static_cast<int>(i);
-  }
-  int Find(int x) {
-    while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
-    return x;
-  }
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<int> parent_;
-};
 
 }  // namespace
 
@@ -58,8 +43,7 @@ Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
   std::stable_sort(pairs.begin(), pairs.end(),
                    [](const SimPair& a, const SimPair& b) { return a.sim > b.sim; });
 
-  // Tasks are identified by their index in `pairs`. All rounds go through
-  // the session publish path.
+  // A task's payload is its pair's index in `pairs`.
   PlatformPublisher publisher({options.platform}, [&](const Task& task) {
     const SimPair& pair = pairs[static_cast<size_t>(task.payload)];
     TaskTruth t;
@@ -70,82 +54,59 @@ Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
     return t;
   });
 
-  UnionFind clusters(values.size());
-  std::vector<std::pair<int, int>> non_matches;
-  size_t next = 0;
-  std::vector<SimPair> remaining = pairs;
-  while (next < remaining.size()) {
+  // A yes merges two clusters; a no records that they differ. Within a
+  // round each cluster is in at most one asked pair, so no merge ever meets
+  // a recorded non-match.
+  MatchClusters clusters(static_cast<int>(values.size()));
+  std::vector<size_t> remaining(pairs.size());
+  std::iota(remaining.begin(), remaining.end(), size_t{0});
+  while (!remaining.empty()) {
     // One round: skip inferable pairs; batch at most one open question per
     // cluster so this round's merges can infer the deferred pairs.
-    std::vector<size_t> batch;           // Indexes into `pairs`.
-    std::vector<SimPair> deferred;
+    std::vector<Task> tasks;
+    std::vector<size_t> deferred;
     std::unordered_set<int> clusters_in_batch;
-    for (size_t i = next; i < remaining.size(); ++i) {
-      const SimPair& pair = remaining[i];
-      int ra = clusters.Find(pair.left);
-      int rb = clusters.Find(pair.right);
-      if (ra == rb) continue;  // Inferred match (transitivity).
-      bool known_non_match = false;
-      for (const auto& [x, y] : non_matches) {
-        int rx = clusters.Find(x);
-        int ry = clusters.Find(y);
-        if ((rx == ra && ry == rb) || (rx == rb && ry == ra)) {
-          known_non_match = true;
-          break;
-        }
-      }
-      if (known_non_match) continue;
-      if (clusters_in_batch.count(ra) > 0 || clusters_in_batch.count(rb) > 0) {
-        deferred.push_back(pair);
+    for (size_t p : remaining) {
+      const SimPair& pair = pairs[p];
+      // Inferred by transitivity, or by anti-transitivity.
+      if (clusters.SameCluster(pair.left, pair.right) ||
+          clusters.KnownNonMatch(pair.left, pair.right)) {
         continue;
       }
-      clusters_in_batch.insert(ra);
-      clusters_in_batch.insert(rb);
-      // Recover the original index for the truth callback.
-      batch.push_back(static_cast<size_t>(&pair - remaining.data()));
-    }
-    if (batch.empty()) break;
-
-    std::vector<Task> tasks;
-    std::vector<SimPair> batch_pairs;
-    tasks.reserve(batch.size());
-    for (size_t bi : batch) {
-      const SimPair& pair = remaining[bi];
-      // Find the pair's index in the original vector for stable task ids.
+      const int ra = clusters.Find(pair.left);
+      const int rb = clusters.Find(pair.right);
+      if (clusters_in_batch.count(ra) > 0 || clusters_in_batch.count(rb) > 0) {
+        deferred.push_back(p);
+        continue;
+      }
+      clusters_in_batch.insert({ra, rb});
       Task task;
-      task.id = static_cast<TaskId>(result.tasks_asked + static_cast<int64_t>(tasks.size()));
+      task.id = static_cast<TaskId>(result.tasks_asked +
+                                    static_cast<int64_t>(tasks.size()));
       task.type = TaskType::kSingleChoice;
       task.question = "Do \"" + values[static_cast<size_t>(pair.left)] +
                       "\" and \"" + values[static_cast<size_t>(pair.right)] +
                       "\" belong to the same group?";
       task.choices = {"yes", "no"};
-      // payload must index into `pairs` for the truth provider: locate it.
-      task.payload = -1;
-      for (size_t pi = 0; pi < pairs.size(); ++pi) {
-        if (pairs[pi].left == pair.left && pairs[pi].right == pair.right) {
-          task.payload = static_cast<int64_t>(pi);
-          break;
-        }
-      }
-      CDB_CHECK(task.payload >= 0);
-      batch_pairs.push_back(pair);
+      task.payload = static_cast<int64_t>(p);
       tasks.push_back(std::move(task));
     }
+    if (tasks.empty()) break;
+
     CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
                          publisher.Publish(tasks, nullptr, nullptr));
     InferenceResult majority = MajorityPerRound(answers);
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      const SimPair& pair = batch_pairs[t];
-      if (majority.Truth(tasks[t].id) == 0) {
+    for (const Task& task : tasks) {
+      const SimPair& pair = pairs[static_cast<size_t>(task.payload)];
+      if (majority.Truth(task.id) == 0) {
         clusters.Union(pair.left, pair.right);
       } else {
-        non_matches.push_back({pair.left, pair.right});
+        clusters.AddNonMatch(pair.left, pair.right);
       }
     }
     result.tasks_asked += static_cast<int64_t>(tasks.size());
     ++result.rounds;
-    remaining = deferred;
-    next = 0;
+    remaining = std::move(deferred);
   }
 
   // Densify cluster ids.

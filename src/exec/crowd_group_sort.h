@@ -6,9 +6,11 @@
 // al. '16] and pairwise comparisons for sorting [Marcus et al. '11, Chen et
 // al. '13]. This module implements both on top of the crowd platform:
 //
-//  - CrowdGroupBy: clusters a column's values with yes/no match tasks,
-//    exploiting positive transitivity (matched clusters merge, so tasks are
-//    saved) and similarity ordering (likely matches asked first).
+//  - CrowdGroupBy: clusters a column's values with yes/no match tasks in a
+//    MatchClusters domain (graph/propagation.h), exploiting transitivity
+//    (matched clusters merge, so tasks are saved), anti-transitivity (a no
+//    separates two whole clusters) and similarity ordering (likely matches
+//    asked first).
 //  - CrowdOrderBy: sorts values with pairwise "which is larger?" tasks using
 //    a crowd-powered merge sort; each round batches independent comparisons.
 #ifndef CDB_EXEC_CROWD_GROUP_SORT_H_
