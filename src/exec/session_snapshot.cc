@@ -25,8 +25,8 @@
 // argument-dependent lookup finds them) and WalkState for the state after
 // the colors. SealBlob/OpenBlob add the magic, version and checksum.
 // Restore() keeps what only a restore needs: the graph rebuild, the color,
-// provenance, edge-id and answers-received checks, the budget replay and
-// the mirror rebase.
+// provenance, edge-id, answer-choice, posterior-row and answers-received
+// checks, the budget replay and the mirror rebase.
 //
 // Doubles (posteriors, worker qualities, stats) travel as IEEE-754 bit
 // patterns, and observation order is preserved exactly: EM folds floats in
