@@ -29,8 +29,7 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
     }
     // The round: the merge barrier published it and filled the inbox, so
     // the posteriors take the answers on delivery instead of per arrival.
-    std::vector<Answer> answers =
-        std::exchange(scheduler_->inbox_[session_], {});
+    std::vector<Answer> answers = std::exchange(inbox, {});
     if (observer != nullptr) {
       for (const Answer& answer : answers) (*observer)(answer);
     }
@@ -40,7 +39,7 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
   std::vector<Answer> TakeLateAnswers() override {
     scheduler_->FanOut(scheduler_->platform_.TakeLateAnswers(), std::nullopt,
                        /*at_barrier=*/false);
-    return std::exchange(scheduler_->pending_late_[session_], {});
+    return std::exchange(late, {});
   }
 
   void DropDeadLetters() override { scheduler_->platform_.DropDeadLetters(); }
@@ -56,6 +55,11 @@ class MultiQueryScheduler::Channel : public TaskPublisher {
   }
 
   PlatformStats stats() const override { return scheduler_->platform_.stats(); }
+
+  // The session's translated answers: in band (what its next Publish
+  // returns) and out of band (its late answers).
+  std::vector<Answer> inbox;
+  std::vector<Answer> late;
 
  private:
   MultiQueryScheduler* scheduler_;
@@ -96,8 +100,6 @@ size_t MultiQueryScheduler::AddQuery(const ResolvedQuery* query,
   session_options.tracer = options_.tracer;
   sessions_.push_back(std::make_unique<QuerySession>(
       query, session_options, std::move(truth), channels_.back().get()));
-  inbox_.emplace_back();
-  pending_late_.emplace_back();
   return index;
 }
 
@@ -169,7 +171,8 @@ void MultiQueryScheduler::FanOut(const std::vector<Answer>& answers,
       Answer translated = answer;
       translated.task = local;
       const bool in_band = j == asker || (at_barrier && Parked(j));
-      (in_band ? inbox_ : pending_late_)[j].push_back(std::move(translated));
+      Channel& channel = *channels_[j];
+      (in_band ? channel.inbox : channel.late).push_back(std::move(translated));
     }
   }
 }
@@ -199,7 +202,7 @@ Result<std::vector<Answer>> MultiQueryScheduler::DirectPublish(
   // shared task receives its copies out of band (its next late-answer drain
   // reconciles them).
   FanOut(answers, session, /*at_barrier=*/false);
-  return std::exchange(inbox_[session], {});
+  return std::exchange(channels_[session]->inbox, {});
 }
 
 Result<std::vector<ExecutionResult>> MultiQueryScheduler::RunAll() {
@@ -252,7 +255,7 @@ Status MultiQueryScheduler::RunRounds() {
             for (const Answer& answer : cached->second) {
               Answer translated = answer;
               translated.task = task.id;
-              inbox_[i].push_back(std::move(translated));
+              channels_[i]->inbox.push_back(std::move(translated));
             }
           } else {
             ++stats_.dedup_hits;

@@ -168,10 +168,6 @@ class MultiQueryScheduler {
   std::map<TaskId, std::vector<std::pair<size_t, TaskId>>> subscribers_;
   // Global id -> every answer seen so far (serves later duplicate asks).
   std::map<TaskId, std::vector<Answer>> answer_cache_;
-  // Per-session queues of translated answers: in band (the answers the
-  // session's next Publish returns) and out of band (its late answers).
-  std::vector<std::vector<Answer>> inbox_;
-  std::vector<std::vector<Answer>> pending_late_;
   // (global task, session) pairs already counted under dedup_tasks_saved, so
   // each redundant answer stream is a single saving, not one per answer.
   std::set<std::pair<TaskId, size_t>> deduced_fanout_counted_;
