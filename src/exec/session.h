@@ -28,7 +28,7 @@
 // resumed later, and interleaved with other sessions — the property
 // MultiQueryScheduler (scheduler.h) builds on. The same tasks, rounds and
 // PlatformStatsDump come out at every thread count. Step() is the only call
-// that advances a session, whichever driver makes it: RunToCompletion(),
+// that advances a session, whichever loop makes it: RunToCompletion(),
 // CdbService (service.h) or the scheduler.
 //
 // All crowd traffic leaves through a TaskPublisher (crowd/platform.h). A

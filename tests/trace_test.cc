@@ -342,8 +342,8 @@ void ExpectOneSpanPerStep(MetricsRegistry& registry, const Tracer& tracer,
 TEST(TraceDeterminismTest, SessionPhasesAndRoundsAreInstrumented) {
   // Spot-check that the instrumentation actually fires end to end: phase
   // spans and session counters must be present after a hostile run, and
-  // every driver (RunToCompletion, the scheduler, the service) emits one
-  // span per counted step.
+  // every stepping loop (RunToCompletion, the scheduler, the service) emits
+  // one span per counted step.
   MetricsRegistry registry;
   Tracer tracer;
   SimCrowdConfig config;
