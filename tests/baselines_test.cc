@@ -4,8 +4,10 @@
 #include "baselines/er_join.h"
 #include "baselines/tree_executor.h"
 #include "bench_util/metrics.h"
+#include "bench_util/queries.h"
 #include "cql/parser.h"
 #include "datagen/mini_example.h"
+#include "datagen/paper_dataset.h"
 #include "tests/test_util.h"
 
 namespace cdb {
@@ -240,6 +242,96 @@ TEST_F(BaselineMiniTest, PublishErrorIsReturnedNotFatal) {
   budget_options.platform = platform;
   BudgetBaselineExecutor budget(&query_, budget_options, truth_);
   EXPECT_EQ(budget.Run().status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------- Output digests ---
+
+// Folds one comparator run into `digest`: its answer rows, its crowd
+// accounting and every edge color of its graph.
+void AddRun(const Result<ExecutionResult>& run, const QueryGraph& graph,
+            testing_util::BitDigest* digest, int64_t* tasks) {
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ExecutionResult& result = run.value();
+  digest->Add(static_cast<int64_t>(result.answers.size()));
+  for (const QueryAnswer& answer : result.answers) {
+    for (int64_t row : answer.rows) digest->Add(row);
+  }
+  const ExecutionStats& stats = result.stats;
+  digest->Add(stats.tasks_asked);
+  digest->Add(stats.rounds);
+  digest->Add(static_cast<int64_t>(stats.round_sizes.size()));
+  for (int64_t size : stats.round_sizes) digest->Add(size);
+  digest->Add(stats.worker_answers);
+  digest->Add(stats.hits_published);
+  digest->Add(stats.dollars_spent);
+  digest->Add(static_cast<int64_t>(graph.num_edges()));
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    digest->Add(static_cast<int64_t>(graph.edge(e).color));
+  }
+  *tasks += stats.tasks_asked;
+}
+
+// Every comparator (CrowdDB, Qurk, Deco, OptTree, Trans, ACD and the budget
+// baseline at budgets 10 and 60) on the five paper queries at scale 0.05
+// and on the miniature example, under a 0.8-quality crowd with redundancy
+// 3: once clean, once duplicating and straggling past a 4-tick deadline.
+// The faulty profile's expiry cap of 50 dead-letters no task. One digest
+// covers every run's answers, crowd accounting and edge colors.
+TEST(BaselineDigestTest, ComparatorOutputsHold) {
+  const uint64_t kWant = 0x57d98462219a0318ULL;
+  PaperDatasetOptions paper_options;
+  paper_options.scale = 0.05;
+  const GeneratedDataset paper = GeneratePaperDataset(paper_options);
+  const GeneratedDataset mini = MakeMiniPaperExample();
+  std::vector<std::pair<const GeneratedDataset*, std::string>> workloads;
+  for (const BenchmarkQuery& query : PaperQueries()) {
+    workloads.emplace_back(&paper, query.cql);
+  }
+  workloads.emplace_back(&mini, kMiniExampleQuery);
+
+  PlatformOptions clean;
+  clean.worker_quality_mean = 0.8;
+  clean.redundancy = 3;
+  clean.seed = 11;
+  PlatformOptions faulty = clean;
+  faulty.fault.duplicate_prob = 0.2;
+  faulty.fault.straggler_prob = 0.2;
+  faulty.fault.straggler_delay_ticks = 3;
+  faulty.fault.task_deadline_ticks = 4;
+  faulty.fault.max_task_expiries = 50;
+
+  testing_util::BitDigest digest;
+  int64_t tasks = 0;
+  for (const auto& [dataset, cql] : workloads) {
+    const ResolvedQuery query = Resolve(*dataset, cql);
+    const EdgeTruthFn truth = MakeEdgeTruth(dataset, &query);
+    for (const PlatformOptions& platform : {clean, faulty}) {
+      for (TreePolicy policy : {TreePolicy::kCrowdDb, TreePolicy::kQurk,
+                                TreePolicy::kDeco, TreePolicy::kOptTree}) {
+        TreeExecutorOptions options;
+        options.policy = policy;
+        options.platform = platform;
+        TreeModelExecutor executor(&query, options, truth);
+        AddRun(executor.Run(), executor.graph(), &digest, &tasks);
+      }
+      for (ErMethod method : {ErMethod::kTrans, ErMethod::kAcd}) {
+        ErExecutorOptions options;
+        options.method = method;
+        options.platform = platform;
+        ErJoinExecutor executor(&query, options, truth);
+        AddRun(executor.Run(), executor.graph(), &digest, &tasks);
+      }
+      for (int64_t budget : {10, 60}) {
+        BudgetBaselineOptions options;
+        options.budget = budget;
+        options.platform = platform;
+        BudgetBaselineExecutor executor(&query, options, truth);
+        AddRun(executor.Run(), executor.graph(), &digest, &tasks);
+      }
+    }
+  }
+  EXPECT_GT(tasks, 0);
+  EXPECT_EQ(digest.value(), kWant);
 }
 
 }  // namespace

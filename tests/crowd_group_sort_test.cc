@@ -216,5 +216,39 @@ TEST(CrowdOrderByTest, NoisyCrowdStillPermutation) {
   EXPECT_EQ(seen.size(), key.size());  // A permutation even with errors.
 }
 
+// Forty seeded inputs of 2-60 random keys, sorted by a 0.75-quality crowd
+// (redundancy 3): wrong answers misplace items and every merge level takes
+// several rounds. One digest covers every result's order, task count and
+// rounds.
+TEST(CrowdOrderByTest, NoisyOrderDigestHolds) {
+  const uint64_t kWant = 0xdbef4935b17b080fULL;
+  testing_util::BitDigest digest;
+  int64_t tasks = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<int64_t> key;
+    for (int64_t i = rng.UniformInt(2, 60); i > 0; --i) {
+      key.push_back(rng.UniformInt(0, 999));
+    }
+    CrowdSortOptions options;
+    options.platform.worker_quality_mean = 0.75;
+    options.platform.redundancy = 3;
+    options.platform.seed = seed;
+    Result<CrowdSortResult> result =
+        CrowdOrderBy(key.size(), options,
+                     [&](size_t a, size_t b) { return key[a] < key[b]; });
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    digest.Add(static_cast<int64_t>(result.value().order.size()));
+    for (size_t i : result.value().order) {
+      digest.Add(static_cast<int64_t>(i));
+    }
+    digest.Add(result.value().tasks_asked);
+    digest.Add(result.value().rounds);
+    tasks += result.value().tasks_asked;
+  }
+  EXPECT_GT(tasks, 0);
+  EXPECT_EQ(digest.value(), kWant);
+}
+
 }  // namespace
 }  // namespace cdb
