@@ -57,39 +57,19 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
   ExecutionResult result;
   ExecutionStats& stats = result.stats;
 
-  PlatformPublisher publisher({options_.platform}, [this](const Task& task) {
-    TaskTruth truth;
-    truth.correct_choice =
-        truth_(graph_, static_cast<EdgeId>(task.payload)) ? 0 : 1;
-    return truth;
+  YesNoCrowd crowd(options_.platform, [this](int64_t e) {
+    return truth_(graph_, static_cast<EdgeId>(e));
   });
-
-  int64_t budget_left = options_.budget;
-  std::vector<ChoiceObservation> observations;
 
   // Asks one edge through the crowd (sequentially — the baseline is a
   // depth-first traversal) and colors it.
   auto ask = [&](EdgeId e) -> Status {
-    Task task;
-    task.id = e;
-    task.type = TaskType::kSingleChoice;
-    task.question = "budget-baseline pair check";
-    task.choices = {"yes", "no"};
-    task.payload = e;
-    CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                         publisher.Publish({task}, nullptr, nullptr));
-    for (const Answer& answer : answers) {
-      observations.push_back(
-          ChoiceObservation{answer.task, answer.worker, answer.choice});
-    }
-    InferenceResult inference = InferSingleChoiceMajority(observations, 2);
-    graph_.SetColor(e, inference.Truth(e) == 0 ? EdgeColor::kBlue
-                                               : EdgeColor::kRed);
-    --budget_left;
-    ++stats.tasks_asked;
-    ++stats.rounds;
+    CDB_ASSIGN_OR_RETURN(const std::vector<bool> match,
+                         crowd.Ask({{e, "budget-baseline pair check"}}));
+    graph_.SetColor(e, match[0] ? EdgeColor::kBlue : EdgeColor::kRed);
     return Status::Ok();
   };
+  auto budget_spent = [&] { return crowd.tasks() >= options_.budget; };
 
   TraversalPlan plan = BuildTraversalPlan(graph_);
   Assignment assignment(graph_.num_relations(), kNoVertex);
@@ -126,7 +106,7 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
           break;
         }
         if (graph_.edge(e).color == EdgeColor::kUnknown) {
-          if (budget_left <= 0) return false;
+          if (budget_spent()) return false;
           CDB_RETURN_IF_ERROR(ask(e));
         }
         if (graph_.edge(e).color != EdgeColor::kBlue) {
@@ -160,16 +140,18 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
     return best_weight(a) > best_weight(b);
   });
   for (VertexId start : starts) {
-    if (budget_left <= 0) break;
+    if (budget_spent()) break;
     assignment.assign(static_cast<size_t>(graph_.num_relations()), kNoVertex);
     assignment[plan.order[0]] = start;
     CDB_ASSIGN_OR_RETURN(const bool more, extend(1));
     if (!more) break;
   }
 
-  stats.worker_answers = publisher.stats().answers_collected;
-  stats.hits_published = publisher.stats().hits_published;
-  stats.dollars_spent = publisher.stats().dollars_spent();
+  stats.tasks_asked = crowd.tasks();
+  stats.rounds = crowd.rounds();
+  stats.worker_answers = crowd.stats().answers_collected;
+  stats.hits_published = crowd.stats().hits_published;
+  stats.dollars_spent = crowd.stats().dollars_spent();
   result.answers = AssignmentsToAnswers(graph_, found);
   return result;
 }

@@ -1,6 +1,5 @@
 #include "baselines/tree_executor.h"
 
-#include "common/logging.h"
 #include "common/trace.h"
 #include "exec/session.h"
 #include "quality/truth_inference.h"
@@ -18,11 +17,8 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
   ExecutionResult result;
   ExecutionStats& stats = result.stats;
 
-  PlatformPublisher publisher({options_.platform}, [this](const Task& task) {
-    TaskTruth truth;
-    truth.correct_choice =
-        truth_(graph_, static_cast<EdgeId>(task.payload)) ? 0 : 1;
-    return truth;
+  YesNoCrowd crowd(options_.platform, [this](int64_t e) {
+    return truth_(graph_, static_cast<EdgeId>(e));
   });
 
   // OptTree consults the true colors for its order; the execution itself
@@ -46,13 +42,11 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
     return graph_.edge(e).color == EdgeColor::kBlue;
   };
 
-  std::vector<ChoiceObservation> observations;
   std::vector<int> executed;
   std::vector<uint8_t> active(graph_.num_vertices(), 1);
   for (int p : order) {
     // Ask every unasked crowd edge of this predicate between active tuples.
-    std::vector<Task> tasks;
-    std::vector<EdgeId> asked_edges;
+    std::vector<YesNoQuestion> questions;
     for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
       const GraphEdge& edge = graph_.edge(e);
       if (edge.pred != p || !edge.is_crowd ||
@@ -60,34 +54,15 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
         continue;
       }
       if (!active[edge.u] || !active[edge.v]) continue;
-      Task task;
-      task.id = e;
-      task.type = TaskType::kSingleChoice;
-      task.question = "tree-model pair check";
-      task.choices = {"yes", "no"};
-      task.payload = e;
-      tasks.push_back(std::move(task));
-      asked_edges.push_back(e);
+      questions.push_back({e, "tree-model pair check"});
     }
-    if (!tasks.empty()) {
-      CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                           publisher.Publish(tasks, nullptr, nullptr));
-      for (const Answer& answer : answers) {
-        observations.push_back(
-            ChoiceObservation{answer.task, answer.worker, answer.choice});
-      }
-      InferenceResult inference = InferSingleChoiceMajority(observations, 2);
-      for (EdgeId e : asked_edges) {
-        int truth_choice = inference.Truth(e);
-        CDB_CHECK(truth_choice >= 0);
-        graph_.SetColor(e,
-                        truth_choice == 0 ? EdgeColor::kBlue : EdgeColor::kRed);
-      }
-      stats.tasks_asked += static_cast<int64_t>(asked_edges.size());
-      stats.round_sizes.push_back(static_cast<int64_t>(asked_edges.size()));
-    } else {
-      stats.round_sizes.push_back(0);
+    CDB_ASSIGN_OR_RETURN(const std::vector<bool> matches, crowd.Ask(questions));
+    for (size_t i = 0; i < questions.size(); ++i) {
+      graph_.SetColor(static_cast<EdgeId>(questions[i].payload),
+                      matches[i] ? EdgeColor::kBlue : EdgeColor::kRed);
     }
+    stats.tasks_asked += static_cast<int64_t>(questions.size());
+    stats.round_sizes.push_back(static_cast<int64_t>(questions.size()));
     // Every predicate is one round in the tree model, even a free one
     // (traditional predicates complete instantly but still gate the next
     // join's input).
@@ -96,9 +71,9 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
     active = ActiveVertices(graph_, executed, edge_blue);
   }
 
-  stats.worker_answers = publisher.stats().answers_collected;
-  stats.hits_published = publisher.stats().hits_published;
-  stats.dollars_spent = publisher.stats().dollars_spent();
+  stats.worker_answers = crowd.stats().answers_collected;
+  stats.hits_published = crowd.stats().hits_published;
+  stats.dollars_spent = crowd.stats().dollars_spent();
   result.answers = AssignmentsToAnswers(graph_, FindAnswers(graph_));
   return result;
 }

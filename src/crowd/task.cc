@@ -1,5 +1,7 @@
 #include "crowd/task.h"
 
+#include <utility>
+
 namespace cdb {
 
 const char* TaskTypeName(TaskType type) {
@@ -16,16 +18,21 @@ const char* TaskTypeName(TaskType type) {
   return "?";
 }
 
-Task MakeEdgeTask(TaskId id, int64_t edge, const std::string& left_value,
-                  const std::string& right_value) {
+Task MakeYesNoTask(TaskId id, int64_t payload, std::string question) {
   Task task;
   task.id = id;
   task.type = TaskType::kSingleChoice;
-  task.question =
-      "Do \"" + left_value + "\" and \"" + right_value + "\" refer to the same thing?";
+  task.question = std::move(question);
   task.choices = {"yes", "no"};
-  task.payload = edge;
+  task.payload = payload;
   return task;
+}
+
+Task MakeEdgeTask(TaskId id, int64_t edge, const std::string& left_value,
+                  const std::string& right_value) {
+  return MakeYesNoTask(id, edge,
+                       "Do \"" + left_value + "\" and \"" + right_value +
+                           "\" refer to the same thing?");
 }
 
 }  // namespace cdb

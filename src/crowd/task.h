@@ -64,7 +64,11 @@ struct TaskTruth {
   std::vector<std::string> wrong_text_pool;
 };
 
-// Builds the yes/no single-choice task for a query edge.
+// Builds a single-choice yes/no task (choice 0 "yes", 1 "no"): the shape of
+// every question the system asks the crowd about an edge, golden or pair.
+Task MakeYesNoTask(TaskId id, int64_t payload, std::string question);
+
+// Builds the yes/no task for a query edge.
 Task MakeEdgeTask(TaskId id, int64_t edge, const std::string& left_value,
                   const std::string& right_value);
 

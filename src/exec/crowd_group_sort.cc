@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <unordered_set>
 
 #include "graph/propagation.h"
 #include "quality/truth_inference.h"
 #include "similarity/sim_join.h"
 
 namespace cdb {
-namespace {
-
-// Majority truth per task from one round of answers, via the shared
-// truth-inference module (ties resolve to choice 0, "yes"/"first").
-InferenceResult MajorityPerRound(const std::vector<Answer>& answers) {
-  std::vector<ChoiceObservation> obs;
-  obs.reserve(answers.size());
-  for (const Answer& answer : answers) {
-    obs.push_back({answer.task, answer.worker, answer.choice});
-  }
-  return InferSingleChoiceMajority(obs, 2);
-}
-
-}  // namespace
 
 Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
                                       const CrowdGroupOptions& options,
@@ -34,80 +18,38 @@ Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
 
   // Candidate pairs above epsilon, most-similar first (likely matches merge
   // clusters early, which saves the most downstream questions).
-  std::vector<SimPair> raw =
+  std::vector<SimPair> similar =
       SimilarityJoin(values, values, options.sim_fn, options.epsilon);
-  std::vector<SimPair> pairs;
-  for (const SimPair& pair : raw) {
-    if (pair.left < pair.right) pairs.push_back(pair);
-  }
-  std::stable_sort(pairs.begin(), pairs.end(),
+  std::erase_if(similar, [](const SimPair& pair) { return pair.left >= pair.right; });
+  std::stable_sort(similar.begin(), similar.end(),
                    [](const SimPair& a, const SimPair& b) { return a.sim > b.sim; });
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(similar.size());
+  for (const SimPair& pair : similar) pairs.emplace_back(pair.left, pair.right);
 
-  // A task's payload is its pair's index in `pairs`.
-  PlatformPublisher publisher({options.platform}, [&](const Task& task) {
-    const SimPair& pair = pairs[static_cast<size_t>(task.payload)];
-    TaskTruth t;
-    t.correct_choice = truth(static_cast<size_t>(pair.left),
-                             static_cast<size_t>(pair.right))
-                           ? 0
-                           : 1;
-    return t;
+  // A question's payload is its pair's index in `pairs`.
+  YesNoCrowd crowd(options.platform, [&](int64_t p) {
+    const auto [a, b] = pairs[static_cast<size_t>(p)];
+    return truth(static_cast<size_t>(a), static_cast<size_t>(b));
   });
-
-  // A yes merges two clusters; a no records that they differ. Within a
-  // round each cluster is in at most one asked pair, so no merge ever meets
-  // a recorded non-match.
+  auto ask = [&](const std::vector<size_t>& round) {
+    std::vector<YesNoQuestion> questions;
+    questions.reserve(round.size());
+    for (size_t p : round) {
+      questions.push_back(
+          {static_cast<int64_t>(p),
+           "Do \"" + values[static_cast<size_t>(pairs[p].first)] + "\" and \"" +
+               values[static_cast<size_t>(pairs[p].second)] +
+               "\" belong to the same group?"});
+    }
+    return crowd.Ask(questions);
+  };
+  // A yes merges two clusters; a no records that they differ.
   MatchClusters clusters(static_cast<int>(values.size()));
-  std::vector<size_t> remaining(pairs.size());
-  std::iota(remaining.begin(), remaining.end(), size_t{0});
-  while (!remaining.empty()) {
-    // One round: skip inferable pairs; batch at most one open question per
-    // cluster so this round's merges can infer the deferred pairs.
-    std::vector<Task> tasks;
-    std::vector<size_t> deferred;
-    std::unordered_set<int> clusters_in_batch;
-    for (size_t p : remaining) {
-      const SimPair& pair = pairs[p];
-      // Inferred by transitivity, or by anti-transitivity.
-      if (clusters.SameCluster(pair.left, pair.right) ||
-          clusters.KnownNonMatch(pair.left, pair.right)) {
-        continue;
-      }
-      const int ra = clusters.Find(pair.left);
-      const int rb = clusters.Find(pair.right);
-      if (clusters_in_batch.count(ra) > 0 || clusters_in_batch.count(rb) > 0) {
-        deferred.push_back(p);
-        continue;
-      }
-      clusters_in_batch.insert({ra, rb});
-      Task task;
-      task.id = static_cast<TaskId>(result.tasks_asked +
-                                    static_cast<int64_t>(tasks.size()));
-      task.type = TaskType::kSingleChoice;
-      task.question = "Do \"" + values[static_cast<size_t>(pair.left)] +
-                      "\" and \"" + values[static_cast<size_t>(pair.right)] +
-                      "\" belong to the same group?";
-      task.choices = {"yes", "no"};
-      task.payload = static_cast<int64_t>(p);
-      tasks.push_back(std::move(task));
-    }
-    if (tasks.empty()) break;
-
-    CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                         publisher.Publish(tasks, nullptr, nullptr));
-    InferenceResult majority = MajorityPerRound(answers);
-    for (const Task& task : tasks) {
-      const SimPair& pair = pairs[static_cast<size_t>(task.payload)];
-      if (majority.Truth(task.id) == 0) {
-        clusters.Union(pair.left, pair.right);
-      } else {
-        clusters.AddNonMatch(pair.left, pair.right);
-      }
-    }
-    result.tasks_asked += static_cast<int64_t>(tasks.size());
-    ++result.rounds;
-    remaining = std::move(deferred);
-  }
+  CDB_RETURN_IF_ERROR(ResolveByTransitivity(
+      &clusters, pairs, /*record_nonmatches=*/true, ask, nullptr));
+  result.tasks_asked = crowd.tasks();
+  result.rounds = crowd.rounds();
 
   // Densify cluster ids.
   std::map<int, int> dense;
@@ -137,25 +79,19 @@ Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
     bool Done() const { return ia >= a.size() && ib >= b.size(); }
   };
 
-  // Tasks carry (a_element, b_element) encoded in the payload.
-  struct PendingComparison {
-    size_t merge_index;
-    size_t left;
-    size_t right;
-  };
-  std::vector<PendingComparison> pending;
-  PlatformPublisher publisher({options.platform}, [&](const Task& task) {
-    const PendingComparison& cmp = pending[static_cast<size_t>(task.payload)];
-    TaskTruth t;
-    t.correct_choice = truth(cmp.left, cmp.right) ? 0 : 1;
-    return t;
+  // A question's payload is its merge's index: "does the head of run a come
+  // before the head of run b?"
+  std::vector<Merge> merges;
+  YesNoCrowd crowd(options.platform, [&](int64_t m) {
+    const Merge& merge = merges[static_cast<size_t>(m)];
+    return truth(merge.a[merge.ia], merge.b[merge.ib]);
   });
 
   std::vector<std::vector<size_t>> runs(n);
   for (size_t i = 0; i < n; ++i) runs[i] = {i};
 
   while (runs.size() > 1) {
-    std::vector<Merge> merges;
+    merges.clear();
     std::vector<std::vector<size_t>> carry;
     for (size_t i = 0; i + 1 < runs.size(); i += 2) {
       Merge merge;
@@ -166,8 +102,7 @@ Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
     if (runs.size() % 2 == 1) carry.push_back(std::move(runs.back()));
 
     while (true) {
-      pending.clear();
-      std::vector<Task> tasks;
+      std::vector<YesNoQuestion> questions;
       for (size_t m = 0; m < merges.size(); ++m) {
         Merge& merge = merges[m];
         // Drain exhausted sides without crowd help.
@@ -178,31 +113,19 @@ Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
           merge.out.push_back(merge.b[merge.ib++]);
         }
         if (merge.Done()) continue;
-        Task task;
-        task.id = static_cast<TaskId>(result.tasks_asked +
-                                      static_cast<int64_t>(tasks.size()));
-        task.type = TaskType::kSingleChoice;
-        task.question = "Which item comes first?";
-        task.choices = {"first", "second"};
-        task.payload = static_cast<int64_t>(pending.size());
-        pending.push_back({m, merge.a[merge.ia], merge.b[merge.ib]});
-        tasks.push_back(std::move(task));
+        questions.push_back(
+            {static_cast<int64_t>(m), "Does the first item come first?"});
       }
-      if (tasks.empty()) break;
-      CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
-                           publisher.Publish(tasks, nullptr, nullptr));
-      InferenceResult majority = MajorityPerRound(answers);
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        const PendingComparison& cmp = pending[static_cast<size_t>(tasks[t].payload)];
-        Merge& merge = merges[cmp.merge_index];
-        if (majority.Truth(tasks[t].id) == 0) {
+      if (questions.empty()) break;
+      CDB_ASSIGN_OR_RETURN(const std::vector<bool> first, crowd.Ask(questions));
+      for (size_t q = 0; q < questions.size(); ++q) {
+        Merge& merge = merges[static_cast<size_t>(questions[q].payload)];
+        if (first[q]) {
           merge.out.push_back(merge.a[merge.ia++]);
         } else {
           merge.out.push_back(merge.b[merge.ib++]);
         }
       }
-      result.tasks_asked += static_cast<int64_t>(tasks.size());
-      ++result.rounds;
     }
 
     runs.clear();
@@ -210,6 +133,8 @@ Result<CrowdSortResult> CrowdOrderBy(size_t n, const CrowdSortOptions& options,
     for (auto& run : carry) runs.push_back(std::move(run));
   }
   result.order = std::move(runs.front());
+  result.tasks_asked = crowd.tasks();
+  result.rounds = crowd.rounds();
   return result;
 }
 

@@ -197,12 +197,7 @@ Result<bool> QuerySession::StepBuildGraph() {
     std::vector<Task> golden;
     std::map<TaskId, int> golden_truths;
     for (int k = 0; k < options_.golden_tasks; ++k) {
-      Task task;
-      task.id = -(k + 1);
-      task.payload = -(k + 1);
-      task.type = TaskType::kSingleChoice;
-      task.question = "golden warm-up";
-      task.choices = {"yes", "no"};
+      Task task = MakeYesNoTask(-(k + 1), -(k + 1), "golden warm-up");
       golden_truths[task.id] = GoldenTruthChoice(task.payload);
       golden.push_back(std::move(task));
     }

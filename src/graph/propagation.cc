@@ -1,6 +1,8 @@
 #include "graph/propagation.h"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -70,6 +72,48 @@ bool MatchClusters::KnownNonMatch(int a, int b) {
   if (ra == rb) return false;
   auto it = enemies_.find(ra);
   return it != enemies_.end() && it->second.count(rb) > 0;
+}
+
+Status ResolveByTransitivity(MatchClusters* clusters,
+                             const std::vector<std::pair<int, int>>& pairs,
+                             bool record_nonmatches, const AskPairsFn& ask,
+                             const InferredPairFn& inferred) {
+  std::vector<size_t> remaining(pairs.size());
+  std::iota(remaining.begin(), remaining.end(), size_t{0});
+  while (!remaining.empty()) {
+    std::vector<size_t> round;
+    std::vector<size_t> deferred;
+    std::unordered_set<int> clusters_in_round;
+    for (size_t p : remaining) {
+      const auto [a, b] = pairs[p];
+      const bool match = clusters->SameCluster(a, b);
+      if (match || (record_nonmatches && clusters->KnownNonMatch(a, b))) {
+        if (inferred) inferred(p, match);
+        continue;
+      }
+      const int ra = clusters->Find(a);
+      const int rb = clusters->Find(b);
+      if (clusters_in_round.count(ra) > 0 || clusters_in_round.count(rb) > 0) {
+        deferred.push_back(p);
+        continue;
+      }
+      clusters_in_round.insert({ra, rb});
+      round.push_back(p);
+    }
+    if (round.empty()) break;
+    CDB_ASSIGN_OR_RETURN(const std::vector<bool> matches, ask(round));
+    CDB_CHECK_EQ(matches.size(), round.size());
+    for (size_t i = 0; i < round.size(); ++i) {
+      const auto [a, b] = pairs[round[i]];
+      if (matches[i]) {
+        clusters->Union(a, b);
+      } else if (record_nonmatches) {
+        clusters->AddNonMatch(a, b);
+      }
+    }
+    remaining = std::move(deferred);
+  }
+  return Status::Ok();
 }
 
 DeductionState::DeductionState(const QueryGraph* graph) : graph_(graph) {

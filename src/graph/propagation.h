@@ -15,10 +15,10 @@
 // plus cluster-level non-match facts. Facts are keyed at *current* cluster
 // roots and re-rooted eagerly when Union() absorbs a root, so KnownNonMatch
 // is a single adjacency probe that can never miss a fact recorded under a
-// root that has since been merged away (the staleness bug the round-start
-// snapshot in the old er_join ClusterState was exposed to). A fact whose two
-// clusters later merge is contradictory crowd evidence; matches win (the
-// union proceeds), the fact is dropped, and conflicts() counts it.
+// root that has since been merged away. A fact whose two clusters later
+// merge is contradictory crowd evidence; matches win (the union proceeds),
+// the fact is dropped, and conflicts() counts it. ResolveByTransitivity runs
+// the crowd-facing loop over one domain.
 //
 // DeductionState glues one MatchClusters per crowd predicate onto a
 // QueryGraph. Transitivity is only sound within one predicate — two
@@ -32,11 +32,13 @@
 #define CDB_GRAPH_PROPAGATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/query_graph.h"
 
 namespace cdb {
@@ -80,6 +82,26 @@ class MatchClusters {
   int64_t num_clusters_ = 0;
   int64_t conflicts_ = 0;
 };
+
+// Asks the crowd one round of pairs (indexes into the resolved pair list)
+// and returns one match decision per pair.
+using AskPairsFn =
+    std::function<Result<std::vector<bool>>(const std::vector<size_t>& round)>;
+// Receives a pair the clusters decided without asking.
+using InferredPairFn = std::function<void(size_t pair, bool match)>;
+
+// Wang et al.'s transitive resolution loop, shared by the Trans/ACD
+// comparators and crowd GROUP BY. Walks the node `pairs` in order, one round
+// at a time: a pair inside one cluster goes to `inferred` (may be empty) as
+// a match, a pair across two recorded non-matching clusters as a non-match,
+// and each other pair is asked, at most one per cluster per round so this
+// round's answers can decide the pairs deferred to the next. A yes merges
+// the two clusters; a no records a non-match only when `record_nonmatches`
+// is set (Trans, GROUP BY; ACD re-asks). An error from `ask` is returned.
+Status ResolveByTransitivity(MatchClusters* clusters,
+                             const std::vector<std::pair<int, int>>& pairs,
+                             bool record_nonmatches, const AskPairsFn& ask,
+                             const InferredPairFn& inferred);
 
 // Per-predicate deduction domains over one QueryGraph. Feed crowd-answered
 // edge colors in with Observe(); query implied colors with Deduce().

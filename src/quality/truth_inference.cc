@@ -297,6 +297,39 @@ InferenceResult InferSingleChoiceMajority(
   return result;
 }
 
+YesNoCrowd::YesNoCrowd(const PlatformOptions& market,
+                       std::function<bool(int64_t payload)> truth)
+    : publisher_({market}, [truth = std::move(truth)](const Task& task) {
+        TaskTruth t;
+        t.correct_choice = truth(task.payload) ? 0 : 1;
+        return t;
+      }) {}
+
+Result<std::vector<bool>> YesNoCrowd::Ask(
+    const std::vector<YesNoQuestion>& questions) {
+  if (questions.empty()) return std::vector<bool>();
+  std::vector<Task> tasks;
+  tasks.reserve(questions.size());
+  for (const YesNoQuestion& question : questions) {
+    tasks.push_back(MakeYesNoTask(tasks_ + static_cast<int64_t>(tasks.size()),
+                                  question.payload, question.text));
+  }
+  CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                       publisher_.Publish(tasks, nullptr, nullptr));
+  std::vector<ChoiceObservation> observations;
+  observations.reserve(answers.size());
+  for (const Answer& answer : answers) {
+    observations.push_back({answer.task, answer.worker, answer.choice});
+  }
+  const InferenceResult majority = InferSingleChoiceMajority(observations, 2);
+  std::vector<bool> yes;
+  yes.reserve(tasks.size());
+  for (const Task& task : tasks) yes.push_back(majority.Truth(task.id) == 0);
+  tasks_ += static_cast<int64_t>(tasks.size());
+  ++rounds_;
+  return yes;
+}
+
 std::vector<int> InferMultiChoice(const std::vector<Answer>& answers,
                                   int num_choices,
                                   const std::map<int, double>& worker_quality,

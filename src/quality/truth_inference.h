@@ -5,15 +5,19 @@
 // Multi-choice tasks decompose into per-choice yes/no tasks. Fill-in-blank
 // tasks take the "pivot" answer — the one with the highest aggregated string
 // similarity to the others. Majority voting is provided as the baseline the
-// existing systems (CrowdDB / Qurk / Deco / CrowdOP) use.
+// existing systems (CrowdDB / Qurk / Deco / CrowdOP) use; YesNoCrowd wraps
+// it with a market for the comparators and GROUP BY / ORDER BY.
 #ifndef CDB_QUALITY_TRUTH_INFERENCE_H_
 #define CDB_QUALITY_TRUTH_INFERENCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "crowd/platform.h"
 #include "crowd/task.h"
 #include "similarity/similarity.h"
 
@@ -77,6 +81,37 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
 // worker quality not modeled.
 InferenceResult InferSingleChoiceMajority(
     const std::vector<ChoiceObservation>& obs, int num_choices);
+
+// One YesNoCrowd question: the truth reads `payload`, a worker `text`.
+struct YesNoQuestion {
+  int64_t payload = -1;
+  std::string text;
+};
+
+// A one-market crowd deciding yes/no questions by majority vote: the
+// inference of every comparator and of GROUP BY / ORDER BY. `truth` is a
+// perfect worker's answer to the question with that payload.
+class YesNoCrowd {
+ public:
+  YesNoCrowd(const PlatformOptions& market,
+             std::function<bool(int64_t payload)> truth);
+
+  // Publishes `questions` as one round of MakeYesNoTask tasks (ids run on
+  // across rounds) and decides each by the majority of this round's on-time
+  // answers, ties to "yes". A question without an on-time answer (a faulty
+  // market dead-lettered it) is a "no". An empty list publishes nothing. A
+  // publish error is returned.
+  Result<std::vector<bool>> Ask(const std::vector<YesNoQuestion>& questions);
+
+  int64_t tasks() const { return tasks_; }    // Questions asked so far.
+  int64_t rounds() const { return rounds_; }  // Rounds published so far.
+  PlatformStats stats() const { return publisher_.stats(); }
+
+ private:
+  PlatformPublisher publisher_;
+  int64_t tasks_ = 0;
+  int64_t rounds_ = 0;
+};
 
 // Eq. 2 applied directly with known worker qualities; exposed for tests and
 // used inside EM's E-step.

@@ -244,6 +244,54 @@ TEST_F(BaselineMiniTest, PublishErrorIsReturnedNotFatal) {
   EXPECT_EQ(budget.Run().status().code(), StatusCode::kInvalidArgument);
 }
 
+// A market that abandons most leases and dead-letters a task at its first
+// expired lease leaves questions without an on-time answer. Each comparator
+// decides such a question "no" and returns OK; the tree executor used to
+// abort on the first one. At abandon_prob 0.9 a few questions still get an
+// on-time answer; at 1.0 none does, so every edge asked is RED.
+TEST_F(BaselineMiniTest, DeadLetteredQuestionIsANo) {
+  for (double abandon : {0.9, 1.0}) {
+    PlatformOptions platform;
+    platform.num_workers = 4;
+    platform.redundancy = 3;
+    platform.fault.abandon_prob = abandon;
+    platform.fault.task_deadline_ticks = 2;
+    platform.fault.max_task_expiries = 0;
+    auto check = [&](const Result<ExecutionResult>& run,
+                     const QueryGraph& graph, const char* name) {
+      ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
+      const ExecutionStats& stats = run.value().stats;
+      EXPECT_TRUE(run.value().answers.empty()) << name;
+      EXPECT_GT(stats.tasks_asked, 0) << name;
+      EXPECT_LT(stats.worker_answers, 3 * stats.tasks_asked) << name;
+      if (abandon < 1.0) return;
+      EXPECT_EQ(stats.worker_answers, 0) << name;
+      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+        if (graph.edge(e).is_crowd &&
+            graph.edge(e).color != EdgeColor::kUnknown) {
+          EXPECT_EQ(graph.edge(e).color, EdgeColor::kRed)
+              << name << " edge " << e;
+        }
+      }
+    };
+
+    TreeExecutorOptions tree_options;
+    tree_options.platform = platform;
+    TreeModelExecutor tree(&query_, tree_options, truth_);
+    check(tree.Run(), tree.graph(), "tree");
+
+    ErExecutorOptions er_options;
+    er_options.platform = platform;
+    ErJoinExecutor er(&query_, er_options, truth_);
+    check(er.Run(), er.graph(), "er");
+
+    BudgetBaselineOptions budget_options;
+    budget_options.platform = platform;
+    BudgetBaselineExecutor budget(&query_, budget_options, truth_);
+    check(budget.Run(), budget.graph(), "budget");
+  }
+}
+
 // ------------------------------------------------------- Output digests ---
 
 // Folds one comparator run into `digest`: its answer rows, its crowd
