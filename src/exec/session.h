@@ -342,8 +342,8 @@ class QuerySession {
   // behind a recomputed checksum: a count above the bytes left, an edge id
   // outside the rebuilt graph, a graph flag the phase contradicts, an
   // answer choice other than 0 or 1, a posterior row whose length is not
-  // 2), an unknown snapshot version or a mismatched platform
-  // kFailedPrecondition.
+  // 2, a round task that is not a two-choice single-choice question), an
+  // unknown snapshot version or a mismatched platform kFailedPrecondition.
   //
   // Scheduler-mode caveat: a session publishing through an external
   // TaskPublisher snapshots its own state only — the shared platform, the

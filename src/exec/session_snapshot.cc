@@ -226,15 +226,21 @@ Status QuerySession::Restore(std::string_view blob) {
       }
     }
   }
+  // Every task is a yes/no question (MakeYesNoTask's shape): single-choice
+  // with two choices, answers are choice 0 or 1, and StepBatchRound writes
+  // two-entry posterior rows. The simulator, EM and the assigner index by
+  // all three.
   for (const Task& task : round_tasks_) {
     if (task.payload >= graph_.num_edges()) {
       return Status::DataLoss("session snapshot: task payload " +
                               std::to_string(task.payload) + " out of range");
     }
+    if (task.type != TaskType::kSingleChoice || task.choices.size() != 2) {
+      return Status::DataLoss("session snapshot: round task " +
+                              std::to_string(task.id) +
+                              " is not a yes/no question");
+    }
   }
-  // Every task is a yes/no question: answers are choice 0 or 1, and
-  // StepBatchRound writes two-entry posterior rows. EM and the assigner
-  // index by both.
   for (const ChoiceObservation& o : all_observations_) {
     if (o.choice != 0 && o.choice != 1) {
       return Status::DataLoss("session snapshot: observation choice " +

@@ -879,6 +879,58 @@ TEST_F(ServiceTest, RoundTaskPayloadMustNameARebuiltEdge) {
             StatusCode::kDataLoss);
 }
 
+// The encoded head of `task` in a session blob: id, type byte, question
+// and choices.
+std::string TaskHead(const Task& task, const std::vector<std::string>& choices) {
+  ByteWriter head;
+  (void)head(task.id, static_cast<uint8_t>(task.type), task.question, choices);
+  return head.data();
+}
+
+// Round tasks are yes/no questions. A fill-in-blank round task used to
+// restore, and the next answer's posterior update in the assigner aborted.
+// At kPublish the round's first task is in the blob once.
+TEST_F(ServiceTest, RoundTaskMustBeSingleChoice) {
+  const ExecutorOptions options = WithQualityControl(CleanCrowd(9, 1));
+  QuerySession donor(&query_, options, truth_);
+  while (donor.phase() != SessionPhase::kPublish) {
+    ASSERT_TRUE(donor.Step().value());
+  }
+  const Task& task = donor.pending_tasks().front();
+  const std::string head = TaskHead(task, task.choices);
+  const std::string blob = donor.Snapshot();
+  const size_t at = blob.find(head);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.find(head, at + 1), std::string::npos);
+  const std::string fill_in_blank(
+      1, static_cast<char>(TaskType::kFillInBlank));
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(restored.Restore(Patched(blob, at + sizeof(TaskId), fill_in_blank))
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+// The same for a round task with one choice: the simulated worker aborted on
+// it.
+TEST_F(ServiceTest, RoundTaskMustHoldTwoChoices) {
+  const ExecutorOptions options = CleanCrowd(43, 1);
+  QuerySession donor(&query_, options, truth_);
+  while (donor.phase() != SessionPhase::kPublish) {
+    ASSERT_TRUE(donor.Step().value());
+  }
+  const Task& task = donor.pending_tasks().front();
+  ASSERT_EQ(task.choices.size(), 2u);
+  const std::string head = TaskHead(task, task.choices);
+  const std::string blob = donor.Snapshot();
+  std::string payload = blob.substr(0, blob.size() - sizeof(uint64_t));
+  const size_t at = payload.find(head);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(head, at + 1), std::string::npos);
+  payload.replace(at, head.size(), TaskHead(task, {task.choices[0]}));
+  QuerySession restored(&query_, options, truth_);
+  EXPECT_EQ(restored.Restore(Reseal(payload)).code(), StatusCode::kDataLoss);
+}
+
 // A one-market publisher writes shape byte 1 before its market's state. The
 // old one-entry form (shape byte 0, market count 1) still restores, into the
 // same state: the restored session snapshots back to the current form.
