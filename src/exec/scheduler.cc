@@ -9,6 +9,33 @@
 #include "common/trace.h"
 
 namespace cdb {
+namespace {
+
+// Merges per-session rounds (tasks already in the shared id space and
+// tagged with their session) into one publishable task list by round-robin
+// interleave across sessions (task k of session A, task k of session B, ...),
+// so the HIT packing downstream mixes queries instead of concatenating them —
+// the cross-query batching of Marcus et al.'s shared HITs. Deterministic:
+// depends only on the input order.
+std::vector<Task> MergeRoundBatches(
+    const std::vector<std::vector<Task>>& batches) {
+  std::vector<Task> merged;
+  size_t total = 0;
+  size_t widest = 0;
+  for (const std::vector<Task>& batch : batches) {
+    total += batch.size();
+    widest = std::max(widest, batch.size());
+  }
+  merged.reserve(total);
+  for (size_t k = 0; k < widest; ++k) {
+    for (const std::vector<Task>& batch : batches) {
+      if (k < batch.size()) merged.push_back(batch[k]);
+    }
+  }
+  return merged;
+}
+
+}  // namespace
 
 // The per-session TaskPublisher: the session's round, session-private
 // traffic (golden warm-up, Collect-phase reposts) and fault-layer drains,
@@ -236,12 +263,11 @@ Status MultiQueryScheduler::RunRounds() {
 
     // Merge barrier: resolve every parked session's round against the dedup
     // table, the answer cache, and the global ledger.
-    std::vector<SessionBatch> batches;
+    std::vector<std::vector<Task>> batches;
     std::set<TaskId> in_flight;  // Globals entering this merged round.
     for (size_t i = 0; i < sessions_.size(); ++i) {
       if (!Parked(i)) continue;
-      SessionBatch batch;
-      batch.session = static_cast<int>(i);
+      std::vector<Task> batch;
       for (const Task& task : sessions_[i]->pending_tasks()) {
         ++stats_.tasks_requested;
         bool existed = false;
@@ -271,7 +297,8 @@ Status MultiQueryScheduler::RunRounds() {
         }
         Task copy = task;
         copy.id = g;
-        batch.tasks.push_back(std::move(copy));
+        copy.batch_tag = static_cast<int>(i);
+        batch.push_back(std::move(copy));
         in_flight.insert(g);
       }
       batches.push_back(std::move(batch));

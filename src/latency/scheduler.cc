@@ -107,24 +107,4 @@ std::vector<EdgeId> SelectParallelRound(const QueryGraph& graph,
   return ExactPrefixRound(graph, pruner, ordered_tasks);
 }
 
-std::vector<Task> MergeRoundBatches(const std::vector<SessionBatch>& batches) {
-  std::vector<Task> merged;
-  size_t total = 0;
-  size_t widest = 0;
-  for (const SessionBatch& batch : batches) {
-    total += batch.tasks.size();
-    widest = std::max(widest, batch.tasks.size());
-  }
-  merged.reserve(total);
-  for (size_t k = 0; k < widest; ++k) {
-    for (const SessionBatch& batch : batches) {
-      if (k >= batch.tasks.size()) continue;
-      Task task = batch.tasks[k];
-      task.batch_tag = batch.session;
-      merged.push_back(std::move(task));
-    }
-  }
-  return merged;
-}
-
 }  // namespace cdb

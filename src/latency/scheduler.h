@@ -24,7 +24,6 @@
 
 #include <vector>
 
-#include "crowd/task.h"
 #include "graph/pruning.h"
 #include "graph/query_graph.h"
 
@@ -53,19 +52,6 @@ std::vector<EdgeId> SelectParallelRound(
     const std::vector<EdgeId>& ordered_tasks,
     LatencyMode mode = LatencyMode::kVertexGreedy,
     double greedy_round_fraction = 0.34);
-
-// One session's contribution to a merged multi-query round.
-struct SessionBatch {
-  int session = -1;          // Becomes batch_tag on the merged tasks.
-  std::vector<Task> tasks;   // Already remapped to the shared id space.
-};
-
-// Merges per-session rounds into one publishable task list by round-robin
-// interleave across sessions (task k of session A, task k of session B, ...),
-// so the HIT packing downstream mixes queries instead of concatenating them —
-// the cross-query batching of Marcus et al.'s shared HITs. Stamps each task's
-// batch_tag with its session. Deterministic: depends only on the input order.
-std::vector<Task> MergeRoundBatches(const std::vector<SessionBatch>& batches);
 
 }  // namespace cdb
 
