@@ -54,13 +54,16 @@ Result<ExecutionResult> ErJoinExecutor::Run() {
     });
     std::vector<std::pair<int, int>> pairs;
     pairs.reserve(edges.size());
-    for (EdgeId e : edges) pairs.emplace_back(graph_.edge(e).u, graph_.edge(e).v);
+    for (EdgeId e : edges) {
+      pairs.emplace_back(graph_.edge(e).u, graph_.edge(e).v);
+    }
 
     // Inferred and asked pairs alike color their edge.
     auto color = [&](size_t pair, bool match) {
       graph_.SetColor(edges[pair], match ? EdgeColor::kBlue : EdgeColor::kRed);
     };
-    auto ask = [&](const std::vector<size_t>& round) -> Result<std::vector<bool>> {
+    auto ask = [&](const std::vector<size_t>& round)
+        -> Result<std::vector<bool>> {
       std::vector<YesNoQuestion> questions;
       questions.reserve(round.size());
       for (size_t pair : round) {

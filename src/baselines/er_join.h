@@ -7,10 +7,10 @@
 //     positive transitivity is trusted; non-matches are always verified with
 //     the crowd. Costs more than Trans, errs less.
 //
-// Both process one join at a time (ordered by the cost-based policy) and need
-// several rounds per join, because a pair can only be asked once the answers
-// that might infer it are in — the paper observes ~5x the rounds of the
-// graph-based methods.
+// Both process one join at a time (ordered by the cost-based policy) through
+// ResolveByTransitivity (graph/propagation.h) and need several rounds per
+// join, because a pair can only be asked once the answers that might infer
+// it are in — the paper observes ~5x the rounds of the graph-based methods.
 #ifndef CDB_BASELINES_ER_JOIN_H_
 #define CDB_BASELINES_ER_JOIN_H_
 

@@ -20,7 +20,8 @@ Result<CrowdGroupResult> CrowdGroupBy(const std::vector<std::string>& values,
   // clusters early, which saves the most downstream questions).
   std::vector<SimPair> similar =
       SimilarityJoin(values, values, options.sim_fn, options.epsilon);
-  std::erase_if(similar, [](const SimPair& pair) { return pair.left >= pair.right; });
+  std::erase_if(similar,
+                [](const SimPair& pair) { return pair.left >= pair.right; });
   std::stable_sort(similar.begin(), similar.end(),
                    [](const SimPair& a, const SimPair& b) { return a.sim > b.sim; });
   std::vector<std::pair<int, int>> pairs;

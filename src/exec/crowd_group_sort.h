@@ -4,15 +4,17 @@
 // and joins first, then apply existing crowdsourced techniques on the result
 // — entity-resolution clustering for grouping [Wang et al. '13, Chai et
 // al. '16] and pairwise comparisons for sorting [Marcus et al. '11, Chen et
-// al. '13]. This module implements both on top of the crowd platform:
+// al. '13]. Both ask yes/no questions through YesNoCrowd
+// (quality/truth_inference.h):
 //
-//  - CrowdGroupBy: clusters a column's values with yes/no match tasks in a
-//    MatchClusters domain (graph/propagation.h), exploiting transitivity
+//  - CrowdGroupBy: clusters a column's values with match questions through
+//    ResolveByTransitivity (graph/propagation.h), exploiting transitivity
 //    (matched clusters merge, so tasks are saved), anti-transitivity (a no
 //    separates two whole clusters) and similarity ordering (likely matches
 //    asked first).
-//  - CrowdOrderBy: sorts values with pairwise "which is larger?" tasks using
-//    a crowd-powered merge sort; each round batches independent comparisons.
+//  - CrowdOrderBy: sorts values with pairwise "does the first come first?"
+//    questions in a crowd-powered merge sort; each round batches independent
+//    comparisons.
 #ifndef CDB_EXEC_CROWD_GROUP_SORT_H_
 #define CDB_EXEC_CROWD_GROUP_SORT_H_
 

@@ -881,7 +881,8 @@ TEST_F(ServiceTest, RoundTaskPayloadMustNameARebuiltEdge) {
 
 // The encoded head of `task` in a session blob: id, type byte, question
 // and choices.
-std::string TaskHead(const Task& task, const std::vector<std::string>& choices) {
+std::string TaskHead(const Task& task,
+                     const std::vector<std::string>& choices) {
   ByteWriter head;
   (void)head(task.id, static_cast<uint8_t>(task.type), task.question, choices);
   return head.data();
