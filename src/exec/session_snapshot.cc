@@ -228,8 +228,8 @@ Status QuerySession::Restore(std::string_view blob) {
   }
   // Every task is a yes/no question (MakeYesNoTask's shape): single-choice
   // with two choices, answers are choice 0 or 1, and StepBatchRound writes
-  // two-entry posterior rows. The simulator, EM and the assigner index by
-  // all three.
+  // two-entry posterior rows. The simulated worker, EM and the assigner
+  // rely on all three.
   for (const Task& task : round_tasks_) {
     if (task.payload >= graph_.num_edges()) {
       return Status::DataLoss("session snapshot: task payload " +
