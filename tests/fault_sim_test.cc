@@ -12,6 +12,7 @@
 
 #include "bench_util/metrics.h"
 #include "bench_util/sim_crowd.h"
+#include "common/serialize.h"
 #include "cql/parser.h"
 #include "crowd/platform.h"
 #include "datagen/mini_example.h"
@@ -168,26 +169,15 @@ TEST(FaultDstTest, PublisherConservesAcrossMarkets) {
 
 // --- Golden fault schedules. ---
 //
-// FNV-1a digests of whole fault schedules, recorded before FaultyRound kept
-// its lease bookkeeping incrementally and drew its faults from ShortStream.
-// Both rewrites must reproduce every draw, every policy pick and every dead
+// FNV-1a digests of whole market schedules. The four faulty-market cases
+// were recorded before the lease loop kept its bookkeeping incrementally
+// and drew its faults from ShortStream; the clean cases and
+// HostileMarketState before the clean market ran the lease loop. Every
+// rewrite must reproduce every draw, every policy pick and every dead
 // letter, so any change to a schedule fails here. Each case runs three
 // consecutive rounds on one platform (the virtual clock and the lease
-// sequence carry across rounds) and digests every on-time answer, every late
-// answer, every dead letter and the final stats dump.
-
-struct ScheduleCase {
-  FaultProfile fault;
-  int num_workers = 25;
-  int redundancy = 3;
-  int tasks_per_round = 15;
-  bool use_policy = true;
-};
-
-struct ScheduleRun {
-  uint64_t digest = 0;
-  PlatformStats stats;
-};
+// sequence carry across rounds) and digests every on-time answer, every
+// late answer, every dead letter and the final stats dump.
 
 // Takes every other entry of `available` from the back, so the picks change
 // whenever the order of `available` does.
@@ -203,16 +193,54 @@ std::vector<size_t> EveryOtherFromBack(const SimulatedWorker&,
   return picks;
 }
 
+// Declines an offer of at most two tasks when the worker id plus the offer
+// size is a multiple of three; otherwise picks the first entry twice and the
+// last one.
+std::vector<size_t> DeclineSomeRepeatPicks(const SimulatedWorker& worker,
+                                           const std::vector<TaskId>& available,
+                                           int) {
+  const size_t size = available.size();
+  if (size <= 2 && (static_cast<size_t>(worker.id()) + size) % 3 == 0) {
+    return {};
+  }
+  return {0, 0, size - 1};
+}
+
+struct ScheduleCase {
+  FaultProfile fault;
+  int num_workers = 25;
+  int redundancy = 3;
+  int tasks_per_round = 15;
+  bool use_policy = true;
+  AssignmentPolicy policy = EveryOtherFromBack;
+  bool requester_controls_assignment = true;
+  // Task i % 5 == 0 asks one answer, i % 5 == 1 two more than `redundancy`
+  // and i % 5 == 2 two answers.
+  bool override_redundancy = false;
+  int64_t ticks_between_rounds = 0;
+  // Also digests every observer call and the market's SnapshotState bytes
+  // after each round, before its late answers and dead letters are drained.
+  bool digest_market = false;
+};
+
+struct ScheduleRun {
+  uint64_t digest = 0;
+  PlatformStats stats;
+  int failed_rounds = 0;  // Rounds whose ExecuteRound returned an error.
+};
+
+void DigestAnswer(const Answer& a, testing_util::BitDigest* digest) {
+  digest->Add(static_cast<int64_t>(a.task));
+  digest->Add(static_cast<int64_t>(a.worker));
+  digest->Add(static_cast<int64_t>(a.choice));
+  digest->Add(a.tick);
+  digest->Add(static_cast<uint64_t>(a.late));
+}
+
 void DigestAnswers(const std::vector<Answer>& answers,
                    testing_util::BitDigest* digest) {
   digest->Add(static_cast<uint64_t>(answers.size()));
-  for (const Answer& a : answers) {
-    digest->Add(static_cast<int64_t>(a.task));
-    digest->Add(static_cast<int64_t>(a.worker));
-    digest->Add(static_cast<int64_t>(a.choice));
-    digest->Add(a.tick);
-    digest->Add(static_cast<uint64_t>(a.late));
-  }
+  for (const Answer& a : answers) DigestAnswer(a, digest);
 }
 
 ScheduleRun RunSchedule(const ScheduleCase& c, uint64_t seed) {
@@ -220,6 +248,7 @@ ScheduleRun RunSchedule(const ScheduleCase& c, uint64_t seed) {
   options.seed = seed;
   options.num_workers = c.num_workers;
   options.redundancy = c.redundancy;
+  options.requester_controls_assignment = c.requester_controls_assignment;
   options.fault = c.fault;
   // Odd tasks are truly "no", so a worker's choice depends on its accuracy
   // draw and on which task it was handed.
@@ -228,41 +257,65 @@ ScheduleRun RunSchedule(const ScheduleCase& c, uint64_t seed) {
     truth.correct_choice = static_cast<int>(task.id % 2);
     return truth;
   });
-  const AssignmentPolicy policy = EveryOtherFromBack;
+  ScheduleRun run;
   testing_util::BitDigest digest;
+  const AnswerObserver observer = [&](const Answer& a) {
+    DigestAnswer(a, &digest);
+  };
   for (int round = 0; round < 3; ++round) {
+    if (round > 0) platform.AdvanceTicks(c.ticks_between_rounds);
     std::vector<Task> tasks;
     for (int i = 0; i < c.tasks_per_round; ++i) {
       tasks.push_back(YesNoTask(100 * round + i));
+      if (!c.override_redundancy) continue;
+      if (i % 5 == 0) tasks.back().redundancy_override = 1;
+      if (i % 5 == 1) tasks.back().redundancy_override = c.redundancy + 2;
+      if (i % 5 == 2) tasks.back().redundancy_override = 2;
     }
-    Result<std::vector<Answer>> answers =
-        platform.ExecuteRound(tasks, c.use_policy ? &policy : nullptr);
-    EXPECT_TRUE(answers.ok()) << "seed " << seed << " round " << round << ": "
-                              << answers.status().message();
-    if (!answers.ok()) return {};
-    DigestAnswers(answers.value(), &digest);
+    Result<std::vector<Answer>> answers = platform.ExecuteRound(
+        tasks, c.use_policy ? &c.policy : nullptr,
+        c.digest_market ? &observer : nullptr);
+    if (answers.ok()) {
+      DigestAnswers(answers.value(), &digest);
+    } else {
+      // A failed round is part of the schedule: its status is digested and
+      // the next round runs on the same market.
+      ++run.failed_rounds;
+      digest.Add(static_cast<int64_t>(answers.status().code()));
+      digest.Add(answers.status().message());
+    }
+    if (c.digest_market) {
+      ByteWriter state;
+      platform.SnapshotState(state);
+      digest.Add(state.data());
+    }
     DigestAnswers(platform.TakeLateAnswers(), &digest);
     std::vector<TaskId> dead = platform.TakeDeadLetters();
     digest.Add(static_cast<uint64_t>(dead.size()));
     for (TaskId id : dead) digest.Add(static_cast<int64_t>(id));
   }
   digest.Add(PlatformStatsDump(platform.stats()));
-  return {digest.value(), platform.stats()};
+  run.digest = digest.value();
+  run.stats = platform.stats();
+  return run;
 }
 
-// Runs seeds 1..5 of `c` against `golden` and returns the summed stats.
-PlatformStats ExpectSchedules(const ScheduleCase& c,
-                              const std::vector<uint64_t>& golden) {
-  PlatformStats total;
+// Runs seeds 1..5 of `c` against `golden`. Returns the summed fault counters
+// and failed rounds.
+ScheduleRun ExpectSchedules(const ScheduleCase& c,
+                            const std::vector<uint64_t>& golden) {
+  ScheduleRun total;
   for (uint64_t seed = 1; seed <= golden.size(); ++seed) {
     ScheduleRun run = RunSchedule(c, seed);
     EXPECT_EQ(run.digest, golden[seed - 1])
         << "seed " << seed << std::hex << ": digest 0x" << run.digest;
-    CheckConservation(run.stats);
-    total.late_answers += run.stats.late_answers;
-    total.dead_lettered += run.stats.dead_lettered;
-    total.no_shows += run.stats.no_shows;
-    total.abandons += run.stats.abandons;
+    // A clean market grants no leases, so the law holds with faults only.
+    if (c.fault.Active()) CheckConservation(run.stats);
+    total.stats.late_answers += run.stats.late_answers;
+    total.stats.dead_lettered += run.stats.dead_lettered;
+    total.stats.no_shows += run.stats.no_shows;
+    total.stats.abandons += run.stats.abandons;
+    total.failed_rounds += run.failed_rounds;
   }
   return total;
 }
@@ -270,11 +323,11 @@ PlatformStats ExpectSchedules(const ScheduleCase& c,
 TEST(FaultScheduleGoldenTest, HostileOrderSensitivePolicy) {
   ScheduleCase c;
   c.fault = HostileProfile();
-  PlatformStats total = ExpectSchedules(
+  ScheduleRun total = ExpectSchedules(
       c, {0x7f16f0fb574e21d8ULL, 0x87fea2a06cfd8205ULL, 0x4921981a93a36177ULL,
           0xc1641c4664a29947ULL, 0x3a096800aeda6a2eULL});
-  EXPECT_GT(total.no_shows, 0);
-  EXPECT_GT(total.abandons, 0);
+  EXPECT_GT(total.stats.no_shows, 0);
+  EXPECT_GT(total.stats.abandons, 0);
 }
 
 TEST(FaultScheduleGoldenTest, HostileRoundRobin) {
@@ -292,10 +345,10 @@ TEST(FaultScheduleGoldenTest, StragglersDeliverLate) {
   c.fault.straggler_delay_ticks = 30;
   c.fault.task_deadline_ticks = 4;
   c.fault.abandon_prob = 0.1;
-  PlatformStats total = ExpectSchedules(
+  ScheduleRun total = ExpectSchedules(
       c, {0x5eb3b5ed00c168aaULL, 0x7d101ebb01588fe9ULL, 0xa327dcae39c07ad3ULL,
           0x9c5c35e1fcee8ff6ULL, 0x168ffeae2a076036ULL});
-  EXPECT_GT(total.late_answers, 0);
+  EXPECT_GT(total.stats.late_answers, 0);
 }
 
 TEST(FaultScheduleGoldenTest, StarvedTasksAreDeadLettered) {
@@ -308,10 +361,79 @@ TEST(FaultScheduleGoldenTest, StarvedTasksAreDeadLettered) {
   c.fault.max_task_expiries = 50;
   c.num_workers = 4;
   c.tasks_per_round = 6;
-  PlatformStats total = ExpectSchedules(
+  ScheduleRun total = ExpectSchedules(
       c, {0x599f552df75aaf8aULL, 0x02abe3dc4f872591ULL, 0xc32aa4bb166aededULL,
           0x39d13dc5074e2ddcULL, 0xf81fdb57a35a6507ULL});
-  EXPECT_GT(total.dead_lettered, 0);
+  EXPECT_GT(total.stats.dead_lettered, 0);
+}
+
+// The hostile profile again, digesting the market's checkpoint bytes after
+// every round (lease sequence, delivered-per-task map, and undrained late
+// answers and dead letters) and every observer call.
+TEST(FaultScheduleGoldenTest, HostileMarketState) {
+  ScheduleCase c;
+  c.fault = HostileProfile();
+  c.override_redundancy = true;
+  c.ticks_between_rounds = 3;
+  c.digest_market = true;
+  ScheduleRun total = ExpectSchedules(
+      c, {0xb8bb23dac17c5345ULL, 0xddbff4b5ed7645caULL, 0xf81471a69d049765ULL,
+          0x4a5989a8a0ff91c0ULL, 0x0fd0055c596ab24aULL});
+  EXPECT_GT(total.stats.late_answers, 0);
+  EXPECT_GT(total.stats.dead_lettered, 0);
+}
+
+// Clean markets (FaultProfile{}): answers, observer calls, each round's
+// checkpoint bytes and the final stats, with redundancy overrides (one of
+// them above what a small pool can reach) and a clock advanced between
+// rounds.
+ScheduleCase CleanCase() {
+  ScheduleCase c;
+  c.override_redundancy = true;
+  c.ticks_between_rounds = 3;
+  c.digest_market = true;
+  return c;
+}
+
+TEST(FaultScheduleGoldenTest, CleanOrderSensitivePolicy) {
+  ExpectSchedules(
+      CleanCase(),
+      {0x2bff72771245ab9cULL, 0x8155f22f4f0994dbULL, 0x037f3d2b65953f45ULL,
+       0x089f0eb8aa500cb9ULL, 0x83733bb81c39588dULL});
+}
+
+// Round-robin, reached two ways: without a policy, and in platform-
+// controlled mode, which ignores the policy it is given.
+const std::vector<uint64_t> kCleanRoundRobin = {
+    0x4bf58f569e78e97dULL, 0xe031c9afc41922d1ULL, 0xb20f95f4d7ef6687ULL,
+    0x0f45ccc3887b0435ULL, 0x8deaab34d4af8eeeULL};
+
+TEST(FaultScheduleGoldenTest, CleanRoundRobin) {
+  ScheduleCase c = CleanCase();
+  c.use_policy = false;
+  ExpectSchedules(c, kCleanRoundRobin);
+}
+
+TEST(FaultScheduleGoldenTest, CleanPlatformControlledIgnoresPolicy) {
+  ScheduleCase c = CleanCase();
+  c.requester_controls_assignment = false;
+  ExpectSchedules(c, kCleanRoundRobin);
+}
+
+// Four workers for redundancy 4 under a policy that declines some offers. A
+// worker declines the same small offer on every arrival until another
+// worker resolves one of its tasks, so some rounds end in "crowd exhausted"
+// after 4 * num_workers idle arrivals and the next round runs on.
+TEST(FaultScheduleGoldenTest, CleanSmallPoolExhausts) {
+  ScheduleCase c = CleanCase();
+  c.num_workers = 4;
+  c.redundancy = 4;
+  c.tasks_per_round = 6;
+  c.policy = DeclineSomeRepeatPicks;
+  ScheduleRun total = ExpectSchedules(
+      c, {0xa59b87ed1229c2b5ULL, 0x75c3aed13852739aULL, 0xee67d85424358656ULL,
+          0x43c7a27c82a0e203ULL, 0x88fcd1097319b3bcULL});
+  EXPECT_GT(total.failed_rounds, 0);
 }
 
 // --- Executor-level DST: whole queries through SimCrowd. ---
