@@ -92,28 +92,25 @@ Result<std::vector<Answer>> CrowdPlatform::ExecuteRound(
     const AnswerObserver* observer) {
   if (tasks.empty()) return std::vector<Answer>();
   const FaultProfile& fault = options_.fault;
-  if (fault.Active()) {
-    if ((fault.abandon_prob > 0.0 || fault.straggler_prob > 0.0) &&
-        fault.task_deadline_ticks <= 0) {
-      return Status::InvalidArgument(
-          "FaultProfile: abandon/straggler faults require a positive "
-          "task_deadline_ticks, or expired leases would never be reposted");
-    }
-    if (fault.straggler_prob > 0.0 && fault.straggler_delay_ticks <= 0) {
-      return Status::InvalidArgument(
-          "FaultProfile: straggler_prob > 0 requires straggler_delay_ticks "
-          ">= 1");
-    }
-    if (fault.no_show_prob >= 1.0) {
-      return Status::InvalidArgument(
-          "FaultProfile: no_show_prob >= 1 means no arriving worker ever "
-          "takes a task, so the round would never end");
-    }
+  if ((fault.abandon_prob > 0.0 || fault.straggler_prob > 0.0) &&
+      fault.task_deadline_ticks <= 0) {
+    return Status::InvalidArgument(
+        "FaultProfile: abandon/straggler faults require a positive "
+        "task_deadline_ticks, or expired leases would never be reposted");
+  }
+  if (fault.straggler_prob > 0.0 && fault.straggler_delay_ticks <= 0) {
+    return Status::InvalidArgument(
+        "FaultProfile: straggler_prob > 0 requires straggler_delay_ticks "
+        ">= 1");
+  }
+  if (fault.no_show_prob >= 1.0) {
+    return Status::InvalidArgument(
+        "FaultProfile: no_show_prob >= 1 means no arriving worker ever "
+        "takes a task, so the round would never end");
   }
   const int64_t tick_begin = tick_;
   WallTimer wall;
-  auto result = fault.Active() ? FaultyRound(tasks, policy, observer)
-                               : CleanRound(tasks, policy, observer);
+  auto result = RunRound(tasks, policy, observer);
   mirror_.Publish(stats_);
   if (options_.tracer != nullptr) {
     options_.tracer->AddSpan("crowd.round", options_.market_name, tick_begin,
@@ -122,107 +119,15 @@ Result<std::vector<Answer>> CrowdPlatform::ExecuteRound(
   return result;
 }
 
-Result<std::vector<Answer>> CrowdPlatform::CleanRound(
-    const std::vector<Task>& tasks, const AssignmentPolicy* policy,
-    const AnswerObserver* observer) {
-  std::vector<Answer> answers;
-  ChargeForTasks(tasks);
-
-  std::vector<int> need(tasks.size());
-  int64_t remaining = 0;
-  for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    need[ti] = EffectiveRedundancy(tasks[ti]);
-    remaining += need[ti];
-  }
-  std::vector<std::vector<int>> answered_by(tasks.size());
-
-  const bool use_policy =
-      policy != nullptr && options_.requester_controls_assignment;
-  size_t cursor = 0;  // Rotating cursor for the default round-robin mode.
-  int64_t idle_arrivals = 0;
-
-  while (remaining > 0) {
-    const SimulatedWorker& worker = workers_[static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(workers_.size()) - 1))];
-    auto worker_did = [&](size_t ti) {
-      return std::find(answered_by[ti].begin(), answered_by[ti].end(),
-                       worker.id()) != answered_by[ti].end();
-    };
-
-    std::vector<size_t> chosen;
-    if (use_policy) {
-      // Offer the full list of tasks this worker can still answer.
-      std::vector<TaskId> available_ids;
-      std::vector<size_t> available_idx;
-      for (size_t ti = 0; ti < tasks.size(); ++ti) {
-        if (need[ti] > 0 && !worker_did(ti)) {
-          available_ids.push_back(tasks[ti].id);
-          available_idx.push_back(ti);
-        }
-      }
-      if (!available_ids.empty()) {
-        std::vector<size_t> picks =
-            (*policy)(worker, available_ids, kTasksPerRequest);
-        for (size_t p : picks) {
-          CDB_CHECK(p < available_idx.size());
-          chosen.push_back(available_idx[p]);
-        }
-      }
-    } else {
-      // Round-robin over needy tasks starting at the cursor.
-      for (size_t step = 0;
-           step < tasks.size() &&
-           chosen.size() < static_cast<size_t>(kTasksPerRequest);
-           ++step) {
-        size_t ti = (cursor + step) % tasks.size();
-        if (need[ti] > 0 && !worker_did(ti)) chosen.push_back(ti);
-      }
-      cursor = (cursor + kTasksPerRequest) % tasks.size();
-    }
-
-    bool progressed = false;
-    for (size_t ti : chosen) {
-      if (need[ti] <= 0 || worker_did(ti)) continue;
-      Answer answer = worker.AnswerTask(tasks[ti], truth_(tasks[ti]), rng_);
-      answer.tick = tick_;
-      answered_by[ti].push_back(worker.id());
-      --need[ti];
-      --remaining;
-      ++stats_.answers_collected;
-      progressed = true;
-      if (observer != nullptr) (*observer)(answer);
-      answers.push_back(std::move(answer));
-    }
-
-    if (progressed) {
-      idle_arrivals = 0;
-      continue;
-    }
-    // No answer was recorded this arrival — either the worker had nothing
-    // left or the policy kept picking tasks the worker already answered.
-    // Before this guard covered only empty picks, so a policy repeatedly
-    // returning already-answered tasks spun forever; now sustained
-    // no-progress is a typed error instead of a livelock or a silent
-    // partial round.
-    if (++idle_arrivals > static_cast<int64_t>(workers_.size()) * 4) {
-      int64_t unmet = 0;
-      for (int n : need) unmet += n > 0 ? 1 : 0;
-      return Status::FailedPrecondition(
-          "crowd exhausted: " + std::to_string(unmet) + " of " +
-          std::to_string(tasks.size()) +
-          " tasks still need answers but no arriving worker can make "
-          "progress");
-    }
-  }
-  return answers;
-}
-
-Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
+Result<std::vector<Answer>> CrowdPlatform::RunRound(
     const std::vector<Task>& tasks, const AssignmentPolicy* policy,
     const AnswerObserver* observer) {
   std::vector<Answer> answers;
   ChargeForTasks(tasks);
   const FaultProfile& fault = options_.fault;
+  // Whether fault draws and fault-layer accounting happen, and which idle
+  // rule ends a round that stops making progress.
+  const bool faulty = fault.Active();
   const size_t num_workers = workers_.size();
 
   struct TaskState {
@@ -234,7 +139,8 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
   };
   // A lease either delivers on time, delivers late, or is abandoned; the
   // fate plus any straggler delay are drawn once at grant time from the
-  // lease's own (seed, lease_seq) stream.
+  // lease's own (seed, lease_seq) stream. Only a lease that does not
+  // deliver on the tick it is granted keeps a record.
   struct Lease {
     size_t ti = 0;
     int64_t deadline = kNeverTick;
@@ -276,8 +182,10 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
 
   const bool use_policy =
       policy != nullptr && options_.requester_controls_assignment;
-  size_t cursor = 0;
+  size_t cursor = 0;  // Rotating cursor for the default round-robin mode.
   int64_t idle_arrivals = 0;
+  const int64_t idle_limit =
+      static_cast<int64_t>(num_workers) * (faulty ? 8 : 4);
 
   auto resolve_task = [&](size_t ti) {
     if (state[ti].need <= 0 && !state[ti].dead) --unresolved;
@@ -289,35 +197,37 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     ++stats_.dead_lettered;
     --unresolved;
   };
-  auto deliver = [&](Lease& lease, bool on_time) {
-    lease.settled = true;
-    Answer answer = lease.answer;
+  auto deliver = [&](size_t ti, Answer answer, bool duplicate, bool on_time) {
     answer.tick = tick_;
-    if (on_time) {
-      --state[lease.ti].need;
-      ++delivered_per_task_[answer.task];
-      ++stats_.answers_collected;
-      if (observer != nullptr) (*observer)(answer);
-      answers.push_back(answer);
-      if (lease.duplicate) {
-        // Platform glitch: the same assignment is delivered twice; the
-        // requester must de-duplicate by (task, worker).
-        ++stats_.duplicates;
-        ++stats_.answers_collected;
-        if (observer != nullptr) (*observer)(answer);
-        answers.push_back(answer);
-      }
-      resolve_task(lease.ti);
-    } else {
+    if (!on_time) {
       answer.late = true;
       ++stats_.late_answers;
       late_answers_.push_back(std::move(answer));
+      return;
     }
+    --state[ti].need;
+    if (faulty) ++delivered_per_task_[answer.task];
+    ++stats_.answers_collected;
+    if (observer != nullptr) (*observer)(answer);
+    if (duplicate) {
+      // Platform glitch: the same assignment is delivered twice; the
+      // requester must de-duplicate by (task, worker).
+      ++stats_.duplicates;
+      ++stats_.answers_collected;
+      if (observer != nullptr) (*observer)(answer);
+      answers.push_back(answer);
+    }
+    answers.push_back(std::move(answer));
+    resolve_task(ti);
   };
 
   while (unresolved > 0 || !deliveries.empty()) {
-    ++tick_;
-    ++stats_.ticks;
+    // A clean market's clock stands still: its answers carry the tick the
+    // round started at.
+    if (faulty) {
+      ++tick_;
+      ++stats_.ticks;
+    }
 
     // 1. Expire leases whose deadline has passed without delivery. The slot
     // returns to the pool (a platform-side repost) until the task hits the
@@ -351,7 +261,8 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
       TaskState& ts = state[lease.ti];
       bool on_time = !lease.expired && !ts.dead && ts.need > 0;
       if (!lease.expired) --ts.outstanding;
-      deliver(lease, on_time);
+      lease.settled = true;
+      deliver(lease.ti, std::move(lease.answer), lease.duplicate, on_time);
       idle_arrivals = 0;
     }
 
@@ -373,7 +284,8 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
     const size_t w = static_cast<size_t>(
         rng_.UniformInt(0, static_cast<int64_t>(num_workers) - 1));
     const SimulatedWorker& worker = workers_[w];
-    if (ShortStream(options_.seed ^ kNoShowSalt, static_cast<uint64_t>(tick_))
+    if (faulty &&
+        ShortStream(options_.seed ^ kNoShowSalt, static_cast<uint64_t>(tick_))
             .Bernoulli(fault.no_show_prob)) {
       ++stats_.no_shows;
       ++idle_arrivals;
@@ -414,6 +326,7 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
         }
       }
     } else {
+      // Round-robin over leasable tasks starting at the cursor.
       for (size_t step = 0;
            step < tasks.size() &&
            chosen.size() < static_cast<size_t>(kTasksPerRequest);
@@ -433,58 +346,67 @@ Result<std::vector<Answer>> CrowdPlatform::FaultyRound(
         exhausted.insert(
             std::lower_bound(exhausted.begin(), exhausted.end(), ti), ti);
       }
-      ++stats_.leases_granted;
-      ++lease_seq_;
       granted = true;
 
-      // The lease's fate comes from its own stream: a pure function of
-      // (platform seed, lease sequence number).
-      ShortStream fault_rng(options_.seed ^ kLeaseFaultSalt,
-                            static_cast<uint64_t>(lease_seq_));
-      bool abandoned = fault_rng.Bernoulli(fault.abandon_prob);
+      bool abandoned = false;
       int64_t delay = 0;
-      if (!abandoned && fault_rng.Bernoulli(fault.straggler_prob)) {
-        delay = fault_rng.UniformInt(1, 2 * fault.straggler_delay_ticks);
-      }
-      bool duplicate = !abandoned && fault_rng.Bernoulli(fault.duplicate_prob);
-
-      Lease lease;
-      lease.ti = ti;
-      lease.deadline = fault.task_deadline_ticks > 0
-                           ? tick_ + fault.task_deadline_ticks
-                           : kNeverTick;
-      lease.duplicate = duplicate;
-      if (abandoned) {
-        lease.deliver_tick = kNeverTick;
-        ++ts.outstanding;
-        leases.push_back(std::move(lease));
-        expiries.insert({leases.back().deadline, leases.size() - 1});
-        continue;
-      }
-      lease.answer = worker.AnswerTask(tasks[ti], truth_(tasks[ti]), rng_);
-      lease.deliver_tick = tick_ + delay;
-      if (delay == 0) {
-        leases.push_back(std::move(lease));
-        deliver(leases.back(), /*on_time=*/true);
-      } else {
-        ++ts.outstanding;
-        leases.push_back(std::move(lease));
-        deliveries.insert({leases.back().deliver_tick, leases.size() - 1});
-        if (leases.back().deadline != kNeverTick) {
-          expiries.insert({leases.back().deadline, leases.size() - 1});
+      bool duplicate = false;
+      if (faulty) {
+        ++stats_.leases_granted;
+        ++lease_seq_;
+        // The lease's fate comes from its own stream: a pure function of
+        // (platform seed, lease sequence number).
+        ShortStream fault_rng(options_.seed ^ kLeaseFaultSalt,
+                              static_cast<uint64_t>(lease_seq_));
+        abandoned = fault_rng.Bernoulli(fault.abandon_prob);
+        if (!abandoned && fault_rng.Bernoulli(fault.straggler_prob)) {
+          delay = fault_rng.UniformInt(1, 2 * fault.straggler_delay_ticks);
         }
+        duplicate = !abandoned && fault_rng.Bernoulli(fault.duplicate_prob);
+      }
+
+      Answer answer;
+      if (!abandoned) {
+        answer = worker.AnswerTask(tasks[ti], truth_(tasks[ti]), rng_);
+        if (delay == 0) {
+          deliver(ti, std::move(answer), duplicate, /*on_time=*/true);
+          continue;
+        }
+      }
+      // Only abandon and straggler faults get here, and ExecuteRound gives
+      // both a positive deadline.
+      ++ts.outstanding;
+      const size_t index = leases.size();
+      Lease& lease = leases.emplace_back();
+      lease.ti = ti;
+      lease.deadline = tick_ + fault.task_deadline_ticks;
+      lease.duplicate = duplicate;
+      lease.answer = std::move(answer);
+      expiries.insert({lease.deadline, index});
+      if (!abandoned) {
+        lease.deliver_tick = tick_ + delay;
+        deliveries.insert({lease.deliver_tick, index});
       }
     }
 
     if (granted) {
       idle_arrivals = 0;
-    } else if (++idle_arrivals > static_cast<int64_t>(num_workers) * 8 &&
-               deliveries.empty()) {
-      // Sustained no-progress (e.g. a policy that never picks a leasable
-      // task) with nothing in flight: give the remaining tasks up to the
-      // dead-letter queue instead of spinning. The requester's retry policy
-      // decides whether to repost them.
-      for (size_t ti = 0; ti < tasks.size(); ++ti) dead_letter_task(ti);
+    } else if (++idle_arrivals > idle_limit) {
+      // Sustained no-progress (e.g. a policy that keeps picking tasks the
+      // worker cannot lease) must not spin. A clean market fails the round.
+      // With faults on, partial rounds are expected: once nothing is in
+      // flight the remaining tasks are dead-lettered, and the requester's
+      // retry policy decides whether to repost them.
+      if (!faulty) {
+        return Status::FailedPrecondition(
+            "crowd exhausted: " + std::to_string(unresolved) + " of " +
+            std::to_string(tasks.size()) +
+            " tasks still need answers but no arriving worker can make "
+            "progress");
+      }
+      if (deliveries.empty()) {
+        for (size_t ti = 0; ti < tasks.size(); ++ti) dead_letter_task(ti);
+      }
     }
   }
 

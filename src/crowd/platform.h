@@ -8,12 +8,14 @@
 // this is where CDB+'s online task assignment plugs in; in
 // platform-controlled mode (CrowdFlower) tasks are handed out round-robin.
 //
-// Fault layer: a FaultProfile turns the fair-weather simulator into an
-// unreliable crowd — workers abandon leased tasks, straggle past deadlines,
-// no-show on arrival, and answers get duplicated or delivered late. Tasks are
-// leased with a per-task deadline; expired leases are reposted by the
-// platform up to a cap, after which the task lands in a dead-letter queue for
-// the requester to handle (see ExecutorOptions::retry). Every fault decision
+// Every round runs one lease loop: one worker arrives per virtual tick and
+// leases tasks. A FaultProfile makes that crowd unreliable — workers abandon
+// leased tasks, straggle past deadlines, no-show on arrival, and answers get
+// duplicated or delivered late. Expired leases are reposted by the platform
+// up to a cap, after which the task lands in a dead-letter queue for the
+// requester to handle (see ExecutorOptions::retry). Under an inactive
+// profile (the default) every lease delivers on the tick it is granted, and
+// the round neither moves the clock nor counts leases. Every fault decision
 // is drawn from a split stream of (seed, counter) alone (a cdb::ShortStream,
 // whose draws equal Rng(seed, counter)'s), so the fault schedule of a given
 // seed is bit-identical across runs and across the executor's thread counts.
@@ -208,10 +210,11 @@ class CrowdPlatform {
   // policy is consulted only in requester-controlled mode; pass nullptr for
   // the default (round-robin by need). Returns the on-time answers of this
   // round (late answers accumulate in TakeLateAnswers, tasks the platform
-  // gave up on in TakeDeadLetters). Fails with kFailedPrecondition when the
-  // worker pool is exhausted but redundancy is unmet and faults are off (with
-  // faults on, such tasks are dead-lettered instead), and with
-  // kInvalidArgument for an unsatisfiable FaultProfile.
+  // gave up on in TakeDeadLetters). Fails with kInvalidArgument for an
+  // unsatisfiable FaultProfile. After 4 * num_workers arrivals in a row that
+  // lease nothing, a clean market fails with kFailedPrecondition ("crowd
+  // exhausted"); a faulty one dead-letters its open tasks once 8 *
+  // num_workers such arrivals pass with no answer in flight.
   Result<std::vector<Answer>> ExecuteRound(
       const std::vector<Task>& tasks, const AssignmentPolicy* policy = nullptr,
       const AnswerObserver* observer = nullptr);
@@ -227,8 +230,9 @@ class CrowdPlatform {
   // retry backoff "waits" this many ticks.
   void AdvanceTicks(int64_t ticks);
 
-  // Cumulative on-time (non-duplicate) deliveries per task across rounds;
-  // ordered map so iteration is deterministic for invariant checks.
+  // Cumulative on-time (non-duplicate) deliveries per task across the rounds
+  // of a faulty market (a clean one leaves it empty); ordered map so
+  // iteration is deterministic for invariant checks.
   const std::map<TaskId, int64_t>& delivered_per_task() const {
     return delivered_per_task_;
   }
@@ -260,15 +264,10 @@ class CrowdPlatform {
                           CodecRef<Io, int32_t> num_workers,
                           CodecRef<Io, std::string> rng);
 
-  // The pre-fault simulation loop: every leased task is answered immediately.
-  Result<std::vector<Answer>> CleanRound(const std::vector<Task>& tasks,
-                                         const AssignmentPolicy* policy,
-                                         const AnswerObserver* observer);
-  // The tick-driven lease/expiry/dead-letter simulation used when
-  // options_.fault.Active().
-  Result<std::vector<Answer>> FaultyRound(const std::vector<Task>& tasks,
-                                          const AssignmentPolicy* policy,
-                                          const AnswerObserver* observer);
+  // The lease loop behind ExecuteRound, for clean and faulty markets alike.
+  Result<std::vector<Answer>> RunRound(const std::vector<Task>& tasks,
+                                       const AssignmentPolicy* policy,
+                                       const AnswerObserver* observer);
   int EffectiveRedundancy(const Task& task) const;
   void ChargeForTasks(const std::vector<Task>& tasks);
 
