@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -316,9 +317,15 @@ Result<std::vector<bool>> YesNoCrowd::Ask(
   }
   CDB_ASSIGN_OR_RETURN(std::vector<Answer> answers,
                        publisher_.Publish(tasks, nullptr, nullptr));
+  // Nothing reads the round's late answers or dead letters.
+  publisher_.DropDeadLetters();
+  (void)publisher_.TakeLateAnswers();
   std::vector<ChoiceObservation> observations;
   observations.reserve(answers.size());
+  std::set<std::pair<TaskId, int>> voted;
   for (const Answer& answer : answers) {
+    // A duplicated delivery is one vote: dedupe by (task, worker).
+    if (!voted.insert({answer.task, answer.worker}).second) continue;
     observations.push_back({answer.task, answer.worker, answer.choice});
   }
   const InferenceResult majority = InferSingleChoiceMajority(observations, 2);

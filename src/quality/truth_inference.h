@@ -98,9 +98,10 @@ class YesNoCrowd {
 
   // Publishes `questions` as one round of MakeYesNoTask tasks (ids run on
   // across rounds) and decides each by the majority of this round's on-time
-  // answers, ties to "yes". A question without an on-time answer (a faulty
-  // market dead-lettered it) is a "no". An empty list publishes nothing. A
-  // publish error is returned.
+  // answers, one vote per (task, worker) and ties to "yes". A question
+  // without an on-time answer (a faulty market dead-lettered it) is a "no".
+  // The round's late answers and dead letters are dropped. An empty list
+  // publishes nothing. A publish error is returned.
   Result<std::vector<bool>> Ask(const std::vector<YesNoQuestion>& questions);
 
   int64_t tasks() const { return tasks_; }    // Questions asked so far.
