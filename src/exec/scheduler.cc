@@ -143,8 +143,7 @@ std::string MultiQueryScheduler::DedupKey(size_t session,
   // Only real query tasks (single-choice, non-negative payload, with a
   // question) dedup across sessions; golden warm-up tasks and other private
   // traffic stay per-session.
-  const bool dedupable = options_.dedup_tasks &&
-                         task.type == TaskType::kSingleChoice &&
+  const bool dedupable = task.type == TaskType::kSingleChoice &&
                          task.payload >= 0 && !task.question.empty();
   if (!dedupable) {
     return "s" + std::to_string(session) + "|" + std::to_string(task.id);

@@ -50,8 +50,6 @@ struct MultiQueryOptions {
   // Cap on total tasks published across all sessions (merged rounds, golden
   // warm-up, and reposts alike); unset = unlimited.
   std::optional<int64_t> global_budget;
-  // Ask identical single-choice tasks once across sessions.
-  bool dedup_tasks = true;
   // Observability sinks (borrowed, may be null = disabled). Propagated into
   // the shared platform and every added session; the scheduler itself
   // publishes MultiQueryStats as `scheduler.*` counters when RunAll()

@@ -261,12 +261,15 @@ TEST_F(SessionTest, GlobalBudgetCapsThePlatform) {
 }
 
 TEST_F(SessionTest, SharedHitsAreCountedForMergedRounds) {
+  // Two different queries on one dataset: their merged rounds pack both
+  // sessions' tasks into the same HITs.
+  ResolvedQuery query_b = Resolve(dataset_, kTwoTableQuery);
+  EdgeTruthFn truth_b = MakeEdgeTruth(&dataset_, &query_b);
   MultiQueryOptions mq;
   mq.platform = PerfectCrowd(3).platform;
-  mq.dedup_tasks = false;  // Force both sessions' tasks into the same HITs.
   MultiQueryScheduler scheduler(mq);
   scheduler.AddQuery(&query_, PerfectCrowd(3), truth_);
-  scheduler.AddQuery(&query_, PerfectCrowd(3), truth_);
+  scheduler.AddQuery(&query_b, PerfectCrowd(3), truth_b);
   scheduler.RunAll().value();
   EXPECT_GT(scheduler.platform_stats().shared_hits, 0);
 }
