@@ -238,27 +238,43 @@ TEST(PlatformTest, CertainNoShowIsInvalidArgument) {
   EXPECT_EQ(platform.stats().tasks_published, 0);
 }
 
-TEST(PlatformTest, FaultFreeProfileMatchesCleanPath) {
-  // fault.Active() == false must route through the legacy loop: identical
-  // answers and stats to a platform that never heard of FaultProfile.
-  PlatformOptions clean;
-  clean.redundancy = 3;
-  clean.seed = 11;
-  PlatformOptions zeroed = clean;
-  zeroed.fault = FaultProfile{};  // All knobs at defaults.
-  CrowdPlatform a(clean, AlwaysYes());
-  CrowdPlatform b(zeroed, AlwaysYes());
-  std::vector<Task> tasks;
-  for (int i = 0; i < 9; ++i) tasks.push_back(YesNoTask(i));
-  std::vector<Answer> answers_a = a.ExecuteRound(tasks).value();
-  std::vector<Answer> answers_b = b.ExecuteRound(tasks).value();
-  ASSERT_EQ(answers_a.size(), answers_b.size());
-  for (size_t i = 0; i < answers_a.size(); ++i) {
-    EXPECT_EQ(answers_a[i].task, answers_b[i].task);
-    EXPECT_EQ(answers_a[i].worker, answers_b[i].worker);
-    EXPECT_EQ(answers_a[i].choice, answers_b[i].choice);
+TEST(PlatformTest, CleanMarketKeepsNoFaultState) {
+  // Under FaultProfile{} every lease delivers on the tick it is granted: the
+  // clock stands still, no lease is counted and no per-task delivery is
+  // recorded, whether a policy or the round-robin walk assigns the tasks.
+  const AssignmentPolicy last_ones = [](const SimulatedWorker&,
+                                        const std::vector<TaskId>& available,
+                                        int count) {
+    std::vector<size_t> picks;
+    for (size_t i = available.size(); i > 0; --i) {
+      if (picks.size() == static_cast<size_t>(count)) break;
+      picks.push_back(i - 1);
+    }
+    return picks;
+  };
+  const AssignmentPolicy* const policies[] = {&last_ones, nullptr};
+  for (const AssignmentPolicy* policy : policies) {
+    PlatformOptions options;
+    options.redundancy = 3;
+    options.seed = 11;
+    CrowdPlatform platform(options, AlwaysYes());
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Task> tasks;
+      for (int i = 0; i < 9; ++i) tasks.push_back(YesNoTask(10 * round + i));
+      std::vector<Answer> answers =
+          platform.ExecuteRound(tasks, policy).value();
+      EXPECT_EQ(answers.size(), 27u);
+      for (const Answer& a : answers) EXPECT_EQ(a.tick, 0);
+    }
+    // Every fault-layer counter, ticks and leases_granted included, is 0.
+    PlatformStats want;
+    want.tasks_published = 27;
+    want.answers_collected = 81;
+    want.hits_published = 3;
+    want.micro_dollars_spent = 3 * MicroDollars(kPricePerHit);
+    EXPECT_EQ(PlatformStatsDump(platform.stats()), PlatformStatsDump(want));
+    EXPECT_TRUE(platform.delivered_per_task().empty());
   }
-  EXPECT_EQ(PlatformStatsDump(a.stats()), PlatformStatsDump(b.stats()));
 }
 
 TEST(PlatformTest, AbandonedLeasesAreRepostedToRedundancy) {
