@@ -104,8 +104,8 @@ Result<SimCrowdReport> RunSimCrowd(const SimCrowdConfig& config) {
                          ps.micro_dollars_spent, expected_micro));
   }
 
-  // --- Lease conservation (fault layer only; the clean path leases
-  // nothing). Every granted lease is settled exactly once: an on-time
+  // --- Lease conservation (faulty markets only; a clean market counts no
+  // leases). Every granted lease is settled exactly once: an on-time
   // non-duplicate delivery, an abandonment, or a late delivery. ---
   if (config.fault.Active()) {
     int64_t settled =
