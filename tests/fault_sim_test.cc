@@ -211,8 +211,7 @@ struct ScheduleCase {
   int num_workers = 25;
   int redundancy = 3;
   int tasks_per_round = 15;
-  bool use_policy = true;
-  AssignmentPolicy policy = EveryOtherFromBack;
+  AssignmentPolicy policy = EveryOtherFromBack;  // Empty: round-robin.
   bool requester_controls_assignment = true;
   // Task i % 5 == 0 asks one answer, i % 5 == 1 two more than `redundancy`
   // and i % 5 == 2 two answers.
@@ -273,7 +272,7 @@ ScheduleRun RunSchedule(const ScheduleCase& c, uint64_t seed) {
       if (i % 5 == 2) tasks.back().redundancy_override = 2;
     }
     Result<std::vector<Answer>> answers = platform.ExecuteRound(
-        tasks, c.use_policy ? &c.policy : nullptr,
+        tasks, c.policy ? &c.policy : nullptr,
         c.digest_market ? &observer : nullptr);
     if (answers.ok()) {
       DigestAnswers(answers.value(), &digest);
@@ -309,7 +308,7 @@ ScheduleRun ExpectSchedules(const ScheduleCase& c,
     ScheduleRun run = RunSchedule(c, seed);
     EXPECT_EQ(run.digest, golden[seed - 1])
         << "seed " << seed << std::hex << ": digest 0x" << run.digest;
-    // A clean market grants no leases, so the law holds with faults only.
+    // A clean market counts no leases, so the law holds with faults only.
     if (c.fault.Active()) CheckConservation(run.stats);
     total.stats.late_answers += run.stats.late_answers;
     total.stats.dead_lettered += run.stats.dead_lettered;
@@ -333,7 +332,7 @@ TEST(FaultScheduleGoldenTest, HostileOrderSensitivePolicy) {
 TEST(FaultScheduleGoldenTest, HostileRoundRobin) {
   ScheduleCase c;
   c.fault = HostileProfile();
-  c.use_policy = false;
+  c.policy = nullptr;
   ExpectSchedules(
       c, {0xdd845f79cb108f72ULL, 0x14a09ca56f5fec63ULL, 0xde6bc9eb3c01b795ULL,
           0x455709a6ef84826aULL, 0xb28e079c5816011bULL});
@@ -404,20 +403,20 @@ TEST(FaultScheduleGoldenTest, CleanOrderSensitivePolicy) {
 
 // Round-robin, reached two ways: without a policy, and in platform-
 // controlled mode, which ignores the policy it is given.
-const std::vector<uint64_t> kCleanRoundRobin = {
+const std::vector<uint64_t> kCleanMarketRoundRobin = {
     0x4bf58f569e78e97dULL, 0xe031c9afc41922d1ULL, 0xb20f95f4d7ef6687ULL,
     0x0f45ccc3887b0435ULL, 0x8deaab34d4af8eeeULL};
 
-TEST(FaultScheduleGoldenTest, CleanRoundRobin) {
+TEST(FaultScheduleGoldenTest, CleanMarketRoundRobin) {
   ScheduleCase c = CleanCase();
-  c.use_policy = false;
-  ExpectSchedules(c, kCleanRoundRobin);
+  c.policy = nullptr;
+  ExpectSchedules(c, kCleanMarketRoundRobin);
 }
 
 TEST(FaultScheduleGoldenTest, CleanPlatformControlledIgnoresPolicy) {
   ScheduleCase c = CleanCase();
   c.requester_controls_assignment = false;
-  ExpectSchedules(c, kCleanRoundRobin);
+  ExpectSchedules(c, kCleanMarketRoundRobin);
 }
 
 // Four workers for redundancy 4 under a policy that declines some offers. A
