@@ -141,7 +141,8 @@ struct PlatformStats {
   [[nodiscard]] double dollars_spent() const {
     return static_cast<double>(micro_dollars_spent) * 1e-6;
   }
-  // Fault-layer counters (all zero with the clean simulator).
+  // Fault-layer counters (zero on a clean market, but for the ticks that
+  // AdvanceTicks adds).
   int64_t ticks = 0;             // Virtual clock advanced so far.
   int64_t leases_granted = 0;    // Task slots handed to workers.
   int64_t no_shows = 0;          // Arrivals that took nothing.
