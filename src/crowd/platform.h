@@ -8,8 +8,8 @@
 // this is where CDB+'s online task assignment plugs in; in
 // platform-controlled mode (CrowdFlower) tasks are handed out round-robin.
 //
-// Every round runs one lease loop: one worker arrives per virtual tick and
-// leases tasks. A FaultProfile makes that crowd unreliable — workers abandon
+// Every round runs one lease loop: workers arrive one at a time and lease
+// tasks. A FaultProfile makes that crowd unreliable — workers abandon
 // leased tasks, straggle past deadlines, no-show on arrival, and answers get
 // duplicated or delivered late. Expired leases are reposted by the platform
 // up to a cap, after which the task lands in a dead-letter queue for the
