@@ -274,6 +274,84 @@ TEST_F(SessionTest, SharedHitsAreCountedForMergedRounds) {
   EXPECT_GT(scheduler.platform_stats().shared_hits, 0);
 }
 
+// The hostile market of the award benchmark workload: abandons, stragglers,
+// duplicates, no-shows and 8-tick leases.
+FaultProfile HostileFaults() {
+  FaultProfile fault;
+  fault.abandon_prob = 0.3;
+  fault.straggler_prob = 0.2;
+  fault.straggler_delay_ticks = 6;
+  fault.duplicate_prob = 0.1;
+  fault.no_show_prob = 0.2;
+  fault.task_deadline_ticks = 8;
+  fault.max_task_expiries = 6;
+  return fault;
+}
+
+// Steps one standalone session to the end and digests its Snapshot() blob
+// after every Step(), then its answers and stats.
+uint64_t RoundStateDigest(const ResolvedQuery& query, const EdgeTruthFn& truth,
+                          const ExecutorOptions& options,
+                          ExecutionStats* stats) {
+  testing_util::BitDigest digest;
+  QuerySession session(&query, options, truth);
+  while (true) {
+    Result<bool> more = session.Step();
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    digest.Add(session.Snapshot());
+    if (!more.ok() || !more.value()) break;
+  }
+  ExecutionResult result = session.TakeResult();
+  digest.Add(static_cast<int64_t>(result.answers.size()));
+  for (const QueryAnswer& answer : result.answers) {
+    for (int64_t row : answer.rows) digest.Add(row);
+  }
+  digest.Add(StatsSignature(result.stats));
+  digest.Add(result.stats.deduced_edges);
+  digest.Add(result.stats.deduction_invalidations);
+  *stats = result.stats;
+  return digest.value();
+}
+
+// Award 2J at scale 0.05 under {majority, CDB+ with propagation and golden
+// tasks} x {clean, hostile}, at 1 and 8 threads: every checkpoint blob the
+// round loop passes through (observations, posteriors, colors, inference),
+// the answers and the stats. The hostile runs flip colors on late answers,
+// and the CDB+ hostile run invalidates deductions, so the late-answer
+// re-inference and the pruner's rebuild after a flip are both pinned.
+TEST_F(SessionTest, RoundStateDigestsHold) {
+  AwardDatasetOptions dataset_options;
+  dataset_options.scale = 0.05;
+  GeneratedDataset dataset = GenerateAwardDataset(dataset_options);
+  ResolvedQuery query = Resolve(dataset, AwardQueries()[0].cql);
+  EdgeTruthFn truth = MakeEdgeTruth(&dataset, &query);
+  const uint64_t kWant[4] = {0x6a6dade9a3e0e487ULL, 0x4db110f86b92f97aULL,
+                             0xf48a79c81f2209ecULL, 0x5722f869e7085ff2ULL};
+  for (int threads : {1, 8}) {
+    size_t i = 0;
+    for (bool quality : {false, true}) {
+      for (bool hostile : {false, true}) {
+        ExecutorOptions options = NoisyCrowd(7, threads);
+        if (hostile) options.platform.fault = HostileFaults();
+        options.quality_control = quality;
+        options.propagation.enabled = quality;
+        options.golden_tasks = quality ? 3 : 0;
+        ExecutionStats stats;
+        EXPECT_EQ(RoundStateDigest(query, truth, options, &stats), kWant[i])
+            << " threads=" << threads << " quality=" << quality
+            << " hostile=" << hostile;
+        if (hostile) {
+          EXPECT_GT(stats.recolored_edges, 0);
+          if (quality) {
+            EXPECT_GT(stats.deduction_invalidations, 0);
+          }
+        }
+        ++i;
+      }
+    }
+  }
+}
+
 // Everything a scheduled session ends with: its checkpoint blob (colors,
 // observations, posteriors, budget spend), its answers, and its stats.
 void AddSessionDigest(testing_util::BitDigest& digest,
