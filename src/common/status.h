@@ -115,13 +115,16 @@ class [[nodiscard]] Result {
     AbortIfError();
     return *value_;
   }
-  T&& value() && {
+  // By value: a reference would dangle once a temporary Result dies, as in
+  // `for (auto& x : f().value())`.
+  T value() && {
     AbortIfError();
     return *std::move(value_);
   }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -353,7 +353,12 @@ Result<bool> QuerySession::StepCollect() {
 }
 
 Result<bool> QuerySession::StepInfer() {
-  inference_ = InferAll();
+  if (options_.quality_control) {
+    inference_ = InferEm();
+  } else {
+    // Only the tasks answered since the last Infer change their row.
+    observations_.UpdateMajority(2, &inference_);
+  }
   phase_ = SessionPhase::kColor;
   return true;
 }
@@ -486,10 +491,8 @@ Status QuerySession::PublishAndAbsorb(const std::vector<Task>& tasks) {
 int64_t QuerySession::Absorb(const std::vector<Answer>& batch) {
   int64_t added = 0;
   for (const Answer& answer : batch) {
-    if (!seen_observations_.insert({answer.task, answer.worker}).second) {
-      continue;
-    }
-    all_observations_.push_back(
+    if (observations_.Contains(answer.task, answer.worker)) continue;
+    observations_.Append(
         ChoiceObservation{answer.task, answer.worker, answer.choice});
     ++result_.stats.unique_answers_per_task[answer.task];
     ++added;
@@ -497,19 +500,14 @@ int64_t QuerySession::Absorb(const std::vector<Answer>& batch) {
   return added;
 }
 
-InferenceResult QuerySession::InferAll() {
-  InferenceResult inference;
-  if (options_.quality_control) {
-    EmOptions em;
-    em.num_choices = 2;
-    em.quality_priors = worker_quality_;
-    em.num_threads = options_.num_threads;
-    em.metrics = options_.metrics;
-    inference = InferSingleChoiceEm(all_observations_, em);
-    worker_quality_ = inference.worker_quality;
-  } else {
-    inference = InferSingleChoiceMajority(all_observations_, 2);
-  }
+InferenceResult QuerySession::InferEm() {
+  EmOptions em;
+  em.num_choices = 2;
+  em.quality_priors = worker_quality_;
+  em.num_threads = options_.num_threads;
+  em.metrics = options_.metrics;
+  InferenceResult inference = InferSingleChoiceEm(observations_, em);
+  worker_quality_ = inference.worker_quality;
   return inference;
 }
 
@@ -523,7 +521,10 @@ void QuerySession::ReconcileLate() {
   result_.stats.late_answers += static_cast<int64_t>(late.size());
   Counters().answers += static_cast<int64_t>(late.size());
   if (Absorb(late) == 0) return;
-  InferenceResult inference = InferAll();
+  // Majority truths read the log's rows; inference_ stays as of the last
+  // Infer until the next one.
+  InferenceResult em;
+  if (options_.quality_control) em = InferEm();
   bool flipped = false;
   for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
     const GraphEdge& edge = graph_.edge(e);
@@ -534,7 +535,9 @@ void QuerySession::ReconcileLate() {
     // desync. Non-crowd edges are colored from birth and carry no crowd
     // evidence to reconcile.
     if (!edge.is_crowd || edge.color == EdgeColor::kUnknown) continue;
-    int truth_choice = inference.Truth(e);
+    const int truth_choice = options_.quality_control
+                                 ? em.Truth(e)
+                                 : observations_.MajorityTruth(e, 2);
     if (truth_choice < 0) continue;
     EdgeColor want = truth_choice == 0 ? EdgeColor::kBlue : EdgeColor::kRed;
     // Crowd evidence arrived for a color that had none: the deduced (or

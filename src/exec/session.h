@@ -379,7 +379,8 @@ class QuerySession {
   // already answered; inference must see each observation once. Returns the
   // number of observations actually added.
   int64_t Absorb(const std::vector<Answer>& batch);
-  InferenceResult InferAll();
+  // EM over every observation so far; carries the qualities forward.
+  InferenceResult InferEm();
   void ReconcileLate();
   // Answer propagation (all no-ops unless options_.propagation.enabled):
   // colors every unknown crowd edge the deduction domains imply (one
@@ -457,9 +458,10 @@ class QuerySession {
   // owned_publisher_ or the scheduler's external channel, never replaced)
   TaskPublisher* publisher_ = nullptr;
 
-  // Quality-control state (CDB+): accumulated observations, EM worker
+  // Every unique (task, worker) observation, in arrival order; majority
+  // voting reads it incrementally. Quality-control state (CDB+): EM worker
   // qualities carried across rounds, and live posteriors for the assigner.
-  std::vector<ChoiceObservation> all_observations_;
+  ObservationLog observations_;
   std::map<int, double> worker_quality_;
   std::map<TaskId, std::vector<double>> posteriors_;
   // The Eq.-3 assigner; every posterior write of a round goes through its
@@ -473,7 +475,6 @@ class QuerySession {
   // constructor)
   AnswerObserver observer_;
 
-  std::set<std::pair<TaskId, int>> seen_observations_;
   std::vector<EdgeId> sampling_order_;
   BudgetLedger budget_;
 

@@ -6,7 +6,7 @@
 //
 //   magic u32 | version u32 | phase u8
 //   graph_built bool | [num_edges u32 | color u8 ... | provenance u8 ...]
-//   sampling_order | all_observations | worker_quality | posteriors
+//   sampling_order | observations | worker_quality | posteriors
 //   budget spent i64
 //   ordered | round_edges | round_tasks | inference
 //   answers_received i64 (the sum of the phase answer counters, checked on
@@ -35,6 +35,7 @@
 // MetricsDump, PlatformStatsDump) is asserted by the crash-point sweep in
 // tests/service_test.cc.
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/serialize.h"
@@ -48,6 +49,20 @@ constexpr BlobFormat kSessionBlob = {"session snapshot", 0x43444253U,  // CDBS
 template <typename Io>
 static Status Walk(Io& io, CodecRef<Io, ChoiceObservation> observation) {
   return io(observation.task, observation.worker, observation.choice);
+}
+
+// The log travels as its observations in arrival order; decoding rebuilds
+// the rows, and every task counts as grown for the next majority Infer.
+template <typename Io>
+static Status Walk(Io& io, CodecRef<Io, ObservationLog> log) {
+  if constexpr (std::is_same_v<Io, ByteWriter>) {
+    return io(log.observations());
+  } else {
+    std::vector<ChoiceObservation> observations;
+    CDB_RETURN_IF_ERROR(io(observations));
+    log = ObservationLog(observations);
+    return Status::Ok();
+  }
 }
 
 template <typename Io>
@@ -86,7 +101,7 @@ template <typename Io, typename Self>
 Status QuerySession::WalkState(Io& io, Self& self,
                                CodecRef<Io, int64_t> budget_spent,
                                CodecRef<Io, int64_t> answers_received) {
-  return io(self.sampling_order_, self.all_observations_, self.worker_quality_,
+  return io(self.sampling_order_, self.observations_, self.worker_quality_,
             self.posteriors_, budget_spent, self.ordered_, self.round_edges_,
             self.round_tasks_, self.inference_.posteriors,
             self.inference_.worker_quality, answers_received,
@@ -120,7 +135,7 @@ std::string QuerySession::Snapshot() const {
 }
 
 Status QuerySession::Restore(std::string_view blob) {
-  if (phase_ != SessionPhase::kBuildGraph || !all_observations_.empty()) {
+  if (phase_ != SessionPhase::kBuildGraph || !observations_.empty()) {
     return Status::FailedPrecondition(
         "Restore() requires a freshly-constructed session");
   }
@@ -241,7 +256,7 @@ Status QuerySession::Restore(std::string_view blob) {
                               " is not a yes/no question");
     }
   }
-  for (const ChoiceObservation& o : all_observations_) {
+  for (const ChoiceObservation& o : observations_.observations()) {
     if (o.choice != 0 && o.choice != 1) {
       return Status::DataLoss("session snapshot: observation choice " +
                               std::to_string(o.choice) + " is not 0 or 1");
@@ -280,11 +295,6 @@ Status QuerySession::Restore(std::string_view blob) {
     return Status::DataLoss("session snapshot has trailing bytes");
   }
 
-  // Derived state: the dedup guard is a pure index over the observation log.
-  seen_observations_.clear();
-  for (const ChoiceObservation& o : all_observations_) {
-    seen_observations_.insert({o.task, o.worker});
-  }
   // The assigner's score memo is transient: re-open the restored round over
   // the restored posteriors.
   if (options_.quality_control) assigner_.BeginRound(round_tasks_);

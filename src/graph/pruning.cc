@@ -18,7 +18,7 @@ std::pair<int, int> RelPairKey(int a, int b) {
 Pruner::Pruner(const QueryGraph* graph) : graph_(graph) {
   BuildGroups();
   BuildPairs();
-  Recompute();
+  FullRecompute();
 }
 
 void Pruner::BuildGroups() {
@@ -142,6 +142,39 @@ void Pruner::KillVertex(VertexId v, std::vector<VertexId>& queue,
 }
 
 void Pruner::Recompute() {
+  // RED edges only ever shrink the greatest fixpoint, so a fixpoint that
+  // gained RED edges and lost none is the old one with their pairs
+  // deactivated and the kills cascaded. An alive vertex's support counts
+  // then equal a fresh pass's; a dead vertex's counts are never read.
+  const std::vector<uint8_t>& colors = graph_->edge_colors();
+  const uint8_t red = static_cast<uint8_t>(EdgeColor::kRed);
+  if (red_.size() != colors.size()) return FullRecompute();
+  std::vector<EdgeId> newly_red;
+  for (size_t e = 0; e < red_.size(); ++e) {
+    if (red_[e] == (colors[e] == red)) continue;
+    if (red_[e]) return FullRecompute();  // A RED edge lost its color.
+    newly_red.push_back(static_cast<EdgeId>(e));
+  }
+  std::vector<VertexId> queue;
+  for (EdgeId e : newly_red) {
+    red_[static_cast<size_t>(e)] = 1;
+    if (pair_of_edge_[e] >= 0) {
+      DeactivatePair(pair_of_edge_[e], queue, /*simulating=*/false);
+    }
+  }
+  while (!queue.empty()) {
+    VertexId v = queue.back();
+    queue.pop_back();
+    KillVertex(v, queue, /*simulating=*/false);
+  }
+}
+
+void Pruner::FullRecompute() {
+  const std::vector<uint8_t>& colors = graph_->edge_colors();
+  red_.resize(colors.size());
+  for (size_t e = 0; e < colors.size(); ++e) {
+    red_[e] = colors[e] == static_cast<uint8_t>(EdgeColor::kRed);
+  }
   pair_active_.assign(pairs_.size(), 1);
   for (PairId id = 0; id < static_cast<PairId>(pairs_.size()); ++id) {
     for (EdgeId e : pairs_[id].members) {

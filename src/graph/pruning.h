@@ -13,6 +13,13 @@
 // group graphs it is a safe over-approximation (a superset of the valid
 // edges), matching the paper's cycle-breaking treatment. Exact validity for
 // small cyclic graphs is available in candidates.h.
+//
+// Recompute() costs what the colors changed. Adding RED edges only shrinks
+// the greatest fixpoint, so while every RED edge of the previous call is
+// still RED it deactivates the pairs of the new RED edges and cascades the
+// kills from the old fixpoint; a RED edge that lost its color (a late-answer
+// flip or a deduction rebuild) rebuilds the fixpoint from scratch. Both give
+// a fresh Pruner's aliveness, validity and alive-vertex support counts.
 #ifndef CDB_GRAPH_PRUNING_H_
 #define CDB_GRAPH_PRUNING_H_
 
@@ -32,7 +39,10 @@ class Pruner {
   // and after any batch of SetColor calls.
   explicit Pruner(const QueryGraph* graph);
 
-  // Recomputes aliveness from the graph's current edge colors. O(V + E).
+  // Recomputes aliveness from the graph's current edge colors. When every
+  // edge RED at the previous call is still RED, only the pairs of the newly
+  // RED edges are deactivated and cascaded; otherwise the fixpoint is rebuilt
+  // from scratch, O(V + E).
   void Recompute();
 
   [[nodiscard]] bool VertexAlive(VertexId v) const { return alive_[v]; }
@@ -71,6 +81,8 @@ class Pruner {
 
   void BuildGroups();
   void BuildPairs();
+  // The fixpoint from scratch over the current colors.
+  void FullRecompute();
   int GroupPosition(VertexId v, int group) const;
 
   // Deactivates `pair` and decrements endpoint support counts; enqueues
@@ -91,7 +103,8 @@ class Pruner {
   // relation_groups_[rel]: groups incident to the relation.
   std::vector<std::vector<int>> relation_groups_;
 
-  // Mutable fixpoint state.
+  // Mutable fixpoint state, for the RED edges flagged in red_.
+  std::vector<uint8_t> red_;
   std::vector<uint8_t> pair_active_;
   std::vector<std::vector<int64_t>> support_;  // [v][gpos] active-pair count.
   std::vector<uint8_t> alive_;

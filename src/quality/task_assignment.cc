@@ -15,21 +15,34 @@ double Entropy(const std::vector<double>& p) {
   return h;
 }
 
-std::vector<double> PosteriorAfterAnswer(const std::vector<double>& prior,
-                                         double worker_quality, int answer) {
-  const int num_choices = static_cast<int>(prior.size());
+namespace {
+
+// The Bayes update of Eq. 3 over `row` in place; the row is left as it was
+// when the normalizer is not positive.
+void UpdatePosterior(double worker_quality, int answer,
+                     std::vector<double>* row) {
+  std::vector<double>& p = *row;
+  const int num_choices = static_cast<int>(p.size());
   CDB_CHECK(num_choices >= 2);
   CDB_CHECK(answer >= 0 && answer < num_choices);
   double q = std::clamp(worker_quality, 1e-3, 1.0 - 1e-3);
   double wrong = (1.0 - q) / static_cast<double>(num_choices - 1);
-  std::vector<double> post(prior.size());
   double norm = 0.0;
   for (int i = 0; i < num_choices; ++i) {
-    post[i] = prior[i] * (i == answer ? q : wrong);
-    norm += post[i];
+    norm += p[i] * (i == answer ? q : wrong);
   }
-  if (norm <= 0.0) return prior;
-  for (double& v : post) v /= norm;
+  if (norm <= 0.0) return;
+  for (int i = 0; i < num_choices; ++i) {
+    p[i] = p[i] * (i == answer ? q : wrong) / norm;
+  }
+}
+
+}  // namespace
+
+std::vector<double> PosteriorAfterAnswer(const std::vector<double>& prior,
+                                         double worker_quality, int answer) {
+  std::vector<double> post = prior;
+  UpdatePosterior(worker_quality, answer, &post);
   return post;
 }
 
@@ -131,8 +144,7 @@ void EntropyAssigner::Observe(const Answer& answer) {
     posterior = FindPosterior(answer.task);
   }
   if (posterior == nullptr) return;
-  *posterior =
-      PosteriorAfterAnswer(*posterior, QualityOf(answer.worker), answer.choice);
+  UpdatePosterior(QualityOf(answer.worker), answer.choice, posterior);
 }
 
 double EntropyAssigner::QualityOf(int worker) const {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -59,89 +57,84 @@ void FillLogTables(double quality, int num_choices, double* log_q,
   *log_wrong = std::log((1.0 - q) / static_cast<double>(num_choices - 1));
 }
 
-// Observations grouped once per inference call: the distinct task and worker
-// ids in ascending order, and each task's (worker row, choice) and each
-// worker's (task row, choice) answers as CSR rows, in observation order.
-struct DenseAnswers {
-  std::vector<TaskId> task_ids;
-  std::vector<int> worker_ids;
-  std::vector<size_t> task_begin;    // Task t: [task_begin[t], [t + 1]).
-  std::vector<std::pair<int, int>> task_answers;
-  std::vector<size_t> worker_begin;  // Worker w: [worker_begin[w], [w + 1]).
-  std::vector<std::pair<int, int>> worker_answers;
-};
-
-// Returns the distinct ids of `obs` (read through `id_of`) in ascending
-// order and sets rows[k] to the position of observation k's id among them.
-// A hash pass numbers the ids in first-seen order, so only the distinct ids
-// are sorted.
-template <typename Id, typename IdOf>
-std::vector<Id> AssignRows(const std::vector<ChoiceObservation>& obs,
-                           IdOf id_of, std::vector<int>* rows) {
-  std::unordered_map<Id, int> first_seen;
-  std::vector<Id> seen;
-  rows->resize(obs.size());
-  for (size_t k = 0; k < obs.size(); ++k) {
-    const Id id = id_of(obs[k]);
-    auto [it, inserted] =
-        first_seen.try_emplace(id, static_cast<int>(seen.size()));
-    if (inserted) seen.push_back(id);
-    (*rows)[k] = it->second;
-  }
-  std::vector<int> order(seen.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&seen](int a, int b) {
-    return seen[static_cast<size_t>(a)] < seen[static_cast<size_t>(b)];
-  });
-  std::vector<Id> sorted(seen.size());
-  std::vector<int> rank(seen.size());
-  for (size_t r = 0; r < order.size(); ++r) {
-    sorted[r] = seen[static_cast<size_t>(order[r])];
-    rank[static_cast<size_t>(order[r])] = static_cast<int>(r);
-  }
-  for (int& row : *rows) row = rank[static_cast<size_t>(row)];
-  return sorted;
-}
-
-DenseAnswers GroupDense(const std::vector<ChoiceObservation>& obs) {
-  DenseAnswers d;
-  std::vector<int> task_row;
-  std::vector<int> worker_row;
-  d.task_ids = AssignRows<TaskId>(
-      obs, [](const ChoiceObservation& o) { return o.task; }, &task_row);
-  d.worker_ids = AssignRows<int>(
-      obs, [](const ChoiceObservation& o) { return o.worker; }, &worker_row);
-
-  // Count per row, then place each observation at its row's cursor (a
-  // stable counting sort).
-  d.task_begin.assign(d.task_ids.size() + 1, 0);
-  d.worker_begin.assign(d.worker_ids.size() + 1, 0);
-  for (size_t k = 0; k < obs.size(); ++k) {
-    ++d.task_begin[static_cast<size_t>(task_row[k]) + 1];
-    ++d.worker_begin[static_cast<size_t>(worker_row[k]) + 1];
-  }
-  for (size_t t = 0; t < d.task_ids.size(); ++t) {
-    d.task_begin[t + 1] += d.task_begin[t];
-  }
-  for (size_t w = 0; w < d.worker_ids.size(); ++w) {
-    d.worker_begin[w + 1] += d.worker_begin[w];
-  }
-  d.task_answers.resize(obs.size());
-  d.worker_answers.resize(obs.size());
-  std::vector<size_t> task_cursor(d.task_begin.begin(), d.task_begin.end() - 1);
-  std::vector<size_t> worker_cursor(d.worker_begin.begin(),
-                                    d.worker_begin.end() - 1);
-  for (size_t k = 0; k < obs.size(); ++k) {
-    const int t = task_row[k];
-    const int w = worker_row[k];
-    const int choice = obs[k].choice;
-    d.task_answers[task_cursor[static_cast<size_t>(t)]++] = {w, choice};
-    d.worker_answers[worker_cursor[static_cast<size_t>(w)]++] = {t, choice};
-  }
-  return d;
-}
-
 }  // namespace
+
+ObservationLog::ObservationLog(const std::vector<ChoiceObservation>& obs) {
+  for (const ChoiceObservation& o : obs) Append(o);
+}
+
+void ObservationLog::Append(const ChoiceObservation& o) {
+  auto [task, new_task] =
+      task_row_.try_emplace(o.task, static_cast<int>(task_ids_.size()));
+  if (new_task) {
+    task_ids_.push_back(o.task);
+    task_answers_.emplace_back();
+    task_grown_.push_back(0);
+  }
+  auto [worker, new_worker] =
+      worker_row_.try_emplace(o.worker, static_cast<int>(worker_ids_.size()));
+  if (new_worker) {
+    worker_ids_.push_back(o.worker);
+    worker_answers_.emplace_back();
+  }
+  const int t = task->second;
+  const int w = worker->second;
+  task_answers_[static_cast<size_t>(t)].emplace_back(w, o.choice);
+  worker_answers_[static_cast<size_t>(w)].emplace_back(t, o.choice);
+  if (!task_grown_[static_cast<size_t>(t)]) {
+    task_grown_[static_cast<size_t>(t)] = 1;
+    grown_.push_back(t);
+  }
+  obs_.push_back(o);
+}
+
+bool ObservationLog::Contains(TaskId task, int worker) const {
+  auto it = task_row_.find(task);
+  if (it == task_row_.end()) return false;
+  const Row& row = task_answers_[static_cast<size_t>(it->second)];
+  for (const auto& [w, choice] : row) {
+    if (worker_ids_[static_cast<size_t>(w)] == worker) return true;
+  }
+  return false;
+}
+
+std::vector<double> ObservationLog::MajorityRow(size_t t,
+                                                int num_choices) const {
+  std::vector<double> votes(static_cast<size_t>(num_choices), 0.0);
+  for (const auto& [w, choice] : task_answers_[t]) {
+    if (choice >= 0 && choice < num_choices) {
+      votes[static_cast<size_t>(choice)] += 1.0;
+    }
+  }
+  double total = 0.0;
+  for (double v : votes) total += v;
+  if (total > 0) {
+    for (double& v : votes) v /= total;
+  }
+  return votes;
+}
+
+int ObservationLog::MajorityTruth(TaskId task, int num_choices) const {
+  auto it = task_row_.find(task);
+  if (it == task_row_.end() || num_choices <= 0) return -1;
+  const std::vector<double> votes =
+      MajorityRow(static_cast<size_t>(it->second), num_choices);
+  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
+                          votes.begin());
+}
+
+void ObservationLog::UpdateMajority(int num_choices, InferenceResult* result) {
+  for (int t : grown_) {
+    result->posteriors[task_ids_[static_cast<size_t>(t)]] =
+        MajorityRow(static_cast<size_t>(t), num_choices);
+    task_grown_[static_cast<size_t>(t)] = 0;
+  }
+  grown_.clear();
+  // Not modeled by majority voting.
+  for (; majority_workers_ < worker_ids_.size(); ++majority_workers_) {
+    result->worker_quality[worker_ids_[majority_workers_]] = 0.5;
+  }
+}
 
 std::vector<double> BayesianVote(
     const std::vector<std::pair<double, int>>& quality_and_choice,
@@ -164,20 +157,24 @@ std::vector<double> BayesianVote(
 
 InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
                                     const EmOptions& options) {
+  return InferSingleChoiceEm(ObservationLog(obs), options);
+}
+
+InferenceResult InferSingleChoiceEm(const ObservationLog& log,
+                                    const EmOptions& options) {
   InferenceResult result;
-  if (obs.empty()) return result;
+  if (log.empty()) return result;
   CDB_CHECK(options.num_choices >= 2);
-  const DenseAnswers d = GroupDense(obs);
-  const size_t num_tasks = d.task_ids.size();
-  const size_t num_workers = d.worker_ids.size();
+  const size_t num_tasks = log.task_ids_.size();
+  const size_t num_workers = log.worker_ids_.size();
   const size_t n = static_cast<size_t>(options.num_choices);
 
   // Initialize qualities from the priors (or the default), indexed like
-  // worker_ids.
+  // the log's worker rows.
   std::vector<double> quality(num_workers);
   std::vector<double> prior(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    auto it = options.quality_priors.find(d.worker_ids[w]);
+    auto it = options.quality_priors.find(log.worker_ids_[w]);
     double q = kEmInitialQuality;
     if (it != options.quality_priors.end()) q = it->second;
     quality[w] = q;
@@ -202,8 +199,8 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
         [&](int64_t begin, int64_t end, int /*chunk*/) {
           for (size_t t = static_cast<size_t>(begin);
                t < static_cast<size_t>(end); ++t) {
-            BayesianVoteKernel(d.task_answers.data() + d.task_begin[t],
-                               d.task_begin[t + 1] - d.task_begin[t],
+            BayesianVoteKernel(log.task_answers_[t].data(),
+                               log.task_answers_[t].size(),
                                log_q.data(), log_wrong.data(),
                                options.num_choices, posteriors.data() + t * n);
           }
@@ -219,14 +216,13 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
           for (size_t w = static_cast<size_t>(begin);
                w < static_cast<size_t>(end); ++w) {
             double expected_correct = 0.0;
-            for (size_t k = d.worker_begin[w]; k < d.worker_begin[w + 1]; ++k) {
-              const auto [row, choice] = d.worker_answers[k];
+            for (const auto& [row, choice] : log.worker_answers_[w]) {
               expected_correct += posteriors[static_cast<size_t>(row) * n +
                                              static_cast<size_t>(choice)];
             }
             // MAP estimate with a Beta pseudo-count prior centered on the
             // worker's incoming quality.
-            const size_t answered = d.worker_begin[w + 1] - d.worker_begin[w];
+            const size_t answered = log.worker_answers_[w].size();
             double updated = (kEmPriorStrength * prior[w] + expected_correct) /
                              (kEmPriorStrength + static_cast<double>(answered));
             // Keep qualities interior so Eq. 2 stays well defined.
@@ -258,14 +254,13 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
   // With no iteration run there is no E-step, so no posterior either.
   for (size_t t = 0; t < num_tasks; ++t) {
     const double* first = posteriors.data() + t * n;
-    result.posteriors.emplace_hint(
-        result.posteriors.end(), d.task_ids[t],
-        iterations_run > 0 ? std::vector<double>(first, first + n)
-                           : std::vector<double>());
+    result.posteriors.emplace(
+        log.task_ids_[t], iterations_run > 0
+                              ? std::vector<double>(first, first + n)
+                              : std::vector<double>());
   }
   for (size_t w = 0; w < num_workers; ++w) {
-    result.worker_quality.emplace_hint(result.worker_quality.end(),
-                                       d.worker_ids[w], quality[w]);
+    result.worker_quality.emplace(log.worker_ids_[w], quality[w]);
   }
   return result;
 }
@@ -273,28 +268,7 @@ InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
 InferenceResult InferSingleChoiceMajority(
     const std::vector<ChoiceObservation>& obs, int num_choices) {
   InferenceResult result;
-  const DenseAnswers d = GroupDense(obs);
-  for (size_t t = 0; t < d.task_ids.size(); ++t) {
-    std::vector<double> votes(static_cast<size_t>(num_choices), 0.0);
-    for (size_t k = d.task_begin[t]; k < d.task_begin[t + 1]; ++k) {
-      const int choice = d.task_answers[k].second;
-      if (choice >= 0 && choice < num_choices) {
-        votes[static_cast<size_t>(choice)] += 1.0;
-      }
-    }
-    double total = 0.0;
-    for (double v : votes) total += v;
-    if (total > 0) {
-      for (double& v : votes) v /= total;
-    }
-    result.posteriors.emplace_hint(result.posteriors.end(), d.task_ids[t],
-                                   std::move(votes));
-  }
-  for (int worker : d.worker_ids) {
-    // Not modeled by majority voting.
-    result.worker_quality.emplace_hint(result.worker_quality.end(), worker,
-                                       0.5);
-  }
+  ObservationLog(obs).UpdateMajority(num_choices, &result);
   return result;
 }
 

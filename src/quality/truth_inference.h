@@ -14,6 +14,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -73,7 +75,58 @@ struct EmOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
+// Observations in arrival order, grouped as they arrive: each task's
+// (worker, choice) row and each worker's (task, choice) row, both in
+// observation order, so inference reads rows instead of regrouping the
+// history on every call. Append() does not dedup: a repeated (task, worker)
+// pair is two observations.
+class ObservationLog {
+ public:
+  ObservationLog() = default;
+  explicit ObservationLog(const std::vector<ChoiceObservation>& obs);
+
+  void Append(const ChoiceObservation& o);
+  // True if `worker` has an observation for `task` (a scan of its row).
+  [[nodiscard]] bool Contains(TaskId task, int worker) const;
+  const std::vector<ChoiceObservation>& observations() const { return obs_; }
+  bool empty() const { return obs_.empty(); }
+
+  // InferSingleChoiceMajority(observations(), n).Truth(task), read from the
+  // task's row alone.
+  [[nodiscard]] int MajorityTruth(TaskId task, int num_choices) const;
+  // Brings `result` from majority voting over the log as of the previous
+  // call (empty before the first) to majority voting over the whole log:
+  // rewrites the rows of the tasks appended to since, and adds quality 0.5
+  // for the workers first seen since.
+  void UpdateMajority(int num_choices, InferenceResult* result);
+
+ private:
+  friend InferenceResult InferSingleChoiceEm(const ObservationLog& log,
+                                             const EmOptions& options);
+  using Row = std::vector<std::pair<int, int>>;  // (other side's row, choice)
+  // The vote shares of task row `t`.
+  std::vector<double> MajorityRow(size_t t, int num_choices) const;
+
+  std::vector<ChoiceObservation> obs_;
+  std::unordered_map<TaskId, int> task_row_;  // Rows in first-seen order.
+  std::unordered_map<int, int> worker_row_;
+  std::vector<TaskId> task_ids_;
+  std::vector<int> worker_ids_;
+  std::vector<Row> task_answers_;
+  std::vector<Row> worker_answers_;
+  // UpdateMajority's cursor: task rows grown since it last ran (each once,
+  // flagged in task_grown_) and the worker rows it has seen.
+  std::vector<int> grown_;
+  std::vector<uint8_t> task_grown_;
+  size_t majority_workers_ = 0;
+};
+
 // Expectation-Maximization over worker qualities + Bayesian voting truths.
+// The E-step sums each task's row and the M-step each worker's row in
+// observation order, so the result depends on the order of `obs` only
+// within each row.
+InferenceResult InferSingleChoiceEm(const ObservationLog& log,
+                                    const EmOptions& options);
 InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
                                     const EmOptions& options);
 

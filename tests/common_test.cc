@@ -6,7 +6,9 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/mutex.h"
@@ -60,6 +62,27 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("hello world");
   std::string s = std::move(r).value();
   EXPECT_EQ(s, "hello world");
+}
+
+Result<std::vector<std::string>> MakeResult() {
+  return std::vector<std::string>{"a string too long for small-string storage",
+                                  "and a second one of the same kind"};
+}
+
+// The rvalue accessors return the value itself, so a range-for over a
+// temporary Result iterates a live vector, not one the temporary took with
+// it when it died.
+TEST(ResultTest, RangeForOverATemporaryValue) {
+  static_assert(std::is_same_v<decltype(MakeResult().value()),
+                               std::vector<std::string>>);
+  static_assert(
+      std::is_same_v<decltype(*MakeResult()), std::vector<std::string>>);
+  std::vector<std::string> seen;
+  for (const std::string& s : MakeResult().value()) seen.push_back(s);
+  for (const std::string& s : *MakeResult()) seen.push_back(s);
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], seen[2]);
+  EXPECT_EQ(seen[1], "and a second one of the same kind");
 }
 
 Result<int> HalveEven(int x) {

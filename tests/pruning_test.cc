@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "graph/candidates.h"
 #include "graph/pruning.h"
@@ -150,6 +154,95 @@ TEST_P(PrunerExactnessTest, MatchesExactValidityOnChains) {
 
 INSTANTIATE_TEST_SUITE_P(RandomChains, PrunerExactnessTest,
                          ::testing::Range<uint64_t>(0, 20));
+
+// A random graph over `num_relations` relations of 5 rows each: each
+// predicate joins a row pair with probability `density`.
+QueryGraph RandomGraph(Rng& rng, int num_relations,
+                       const std::vector<std::pair<int, int>>& rel_pairs,
+                       double density) {
+  std::vector<PredicateInfo> preds;
+  for (const auto& [left, right] : rel_pairs) {
+    preds.push_back({true, false, left, right});
+  }
+  std::vector<QueryGraph::SyntheticEdge> edges;
+  for (int p = 0; p < static_cast<int>(preds.size()); ++p) {
+    for (int a = 0; a < 5; ++a) {
+      for (int b = 0; b < 5; ++b) {
+        if (rng.Bernoulli(density)) {
+          edges.push_back({p, a, b, rng.Uniform(0.3, 1.0)});
+        }
+      }
+    }
+  }
+  return QueryGraph::MakeSynthetic(num_relations, preds, edges);
+}
+
+// A pruner recomputed after each batch of color changes agrees with one
+// built fresh over the same colors. Batches color unknown edges RED or
+// BLUE (the incremental path), and now and then flip or uncolor a colored
+// edge (a RED edge losing its color forces the full fixpoint).
+TEST(PrunerTest, IncrementalMatchesFresh) {
+  const std::vector<std::vector<std::pair<int, int>>> shapes = {
+      {{0, 1}, {1, 2}, {2, 3}},          // Chain.
+      {{0, 1}, {0, 2}, {0, 3}},          // Star.
+      {{0, 1}, {0, 1}, {1, 2}},          // Parallel predicates.
+      {{0, 1}, {1, 2}, {2, 0}},          // Cyclic group graph.
+  };
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " shape " +
+                   std::to_string(shape));
+      Rng rng(seed * 31 + shape);
+      QueryGraph graph = RandomGraph(rng, shape == 2 ? 3 : 4, shapes[shape],
+                                     shape == 2 ? 0.8 : 0.5);
+      if (graph.num_edges() == 0) continue;
+      Pruner pruner(&graph);
+      EXPECT_EQ(pruner.group_graph_acyclic(), shape != 3);
+      for (int batch = 0; batch < 12; ++batch) {
+        for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+          const double roll = rng.Uniform();
+          if (graph.edge_color(e) == EdgeColor::kUnknown) {
+            if (roll < 0.08) graph.SetColor(e, EdgeColor::kRed);
+            if (roll > 0.9) graph.SetColor(e, EdgeColor::kBlue);
+          } else if (roll < 0.01) {
+            graph.UncolorEdge(e);
+          } else if (roll < 0.02) {
+            graph.RecolorEdge(e, graph.edge_color(e) == EdgeColor::kRed
+                                     ? EdgeColor::kBlue
+                                     : EdgeColor::kRed);
+          }
+        }
+        pruner.Recompute();
+        Pruner fresh(&graph);
+        for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+          ASSERT_EQ(pruner.VertexAlive(v), fresh.VertexAlive(v))
+              << "batch " << batch << " vertex " << v;
+        }
+        for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+          ASSERT_EQ(pruner.EdgeValid(e), fresh.EdgeValid(e))
+              << "batch " << batch << " edge " << e;
+        }
+        ASSERT_EQ(pruner.RemainingTasks(), fresh.RemainingTasks());
+        for (int c = 0; c < 8; ++c) {
+          std::vector<EdgeId> cut;
+          if (c % 2 == 0) {
+            const EdgeId e = static_cast<EdgeId>(
+                rng.UniformInt(0, graph.num_edges() - 1));
+            cut = IncidentCopy(graph, graph.edge(e).u, graph.edge(e).pred);
+          } else {
+            for (int k = rng.UniformInt(1, 3); k > 0; --k) {
+              cut.push_back(static_cast<EdgeId>(
+                  rng.UniformInt(0, graph.num_edges() - 1)));
+            }
+          }
+          ASSERT_EQ(pruner.SimulateCutInvalidation(cut),
+                    fresh.SimulateCutInvalidation(cut))
+              << "batch " << batch << " cut " << c;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cdb

@@ -2,8 +2,12 @@
 
 #include <bit>
 #include <cmath>
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -115,7 +119,8 @@ TEST(EmTest, QualityPriorsSeedNewRound) {
 }
 
 TEST(EmTest, EmptyObservations) {
-  InferenceResult result = InferSingleChoiceEm({}, EmOptions{});
+  InferenceResult result =
+      InferSingleChoiceEm(std::vector<ChoiceObservation>{}, EmOptions{});
   EXPECT_TRUE(result.posteriors.empty());
   EXPECT_EQ(result.Truth(0), -1);
   EXPECT_EQ(result.Confidence(0), 0.0);
@@ -355,6 +360,67 @@ TEST(EmGoldenTest, DigestsMatchAtOneAndEightThreads) {
         ResultDigest(InferSingleChoiceMajority(obs, golden.num_choices));
     EXPECT_EQ(majority, golden.majority_digest)
         << golden.name << std::hex << " 0x" << majority;
+  }
+}
+
+// A log fed in batches infers exactly what a fresh run over the same prefix
+// infers: EM at 1 and 8 threads and majority voting, bit for bit. The
+// stream holds negative and out-of-order task ids and exact repeats, which
+// the log keeps. A second log that skips a (task, worker) pair it Contains()
+// keeps the pairs a set keeps, and UpdateMajority over it, call after call,
+// equals a fresh majority over that deduplicated prefix.
+TEST(ObservationLogTest, IncrementalMatchesFresh) {
+  for (uint64_t seed : {21u, 22u}) {
+    std::vector<ChoiceObservation> stream =
+        GoldenObservations(seed, 120, 40, 2);
+    SplitMix rng(seed ^ 0xd0bU);
+    for (int k = 0; k < 40; ++k) {
+      const int64_t size = static_cast<int64_t>(stream.size());
+      const ChoiceObservation repeat =
+          stream[static_cast<size_t>(rng.Below(size))];
+      stream.insert(stream.begin() + rng.Below(size + 1), repeat);
+    }
+    ObservationLog log;
+    ObservationLog deduped;
+    InferenceResult log_majority;
+    InferenceResult deduped_majority;
+    std::vector<ChoiceObservation> prefix;
+    std::vector<ChoiceObservation> unique_prefix;
+    std::set<std::pair<TaskId, int>> seen;
+    size_t next = 0;
+    for (int batch = 0; next < stream.size(); ++batch) {
+      const size_t end = std::min(
+          stream.size(), next + 1 + static_cast<size_t>(rng.Below(60)));
+      for (; next < end; ++next) {
+        const ChoiceObservation& o = stream[next];
+        log.Append(o);
+        prefix.push_back(o);
+        const bool fresh_pair = seen.insert({o.task, o.worker}).second;
+        ASSERT_EQ(deduped.Contains(o.task, o.worker), !fresh_pair);
+        if (!fresh_pair) continue;
+        deduped.Append(o);
+        unique_prefix.push_back(o);
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " batch " +
+                   std::to_string(batch));
+      ASSERT_EQ(log.observations().size(), prefix.size());
+      for (int threads : {1, 8}) {
+        EmOptions options;
+        options.num_threads = threads;
+        options.quality_priors[7] = 0.9;
+        EXPECT_EQ(ResultDigest(InferSingleChoiceEm(log, options)),
+                  ResultDigest(InferSingleChoiceEm(prefix, options)));
+      }
+      const InferenceResult fresh = InferSingleChoiceMajority(prefix, 2);
+      log.UpdateMajority(2, &log_majority);
+      EXPECT_EQ(ResultDigest(log_majority), ResultDigest(fresh));
+      for (TaskId task = -70; task < 800; ++task) {
+        ASSERT_EQ(log.MajorityTruth(task, 2), fresh.Truth(task)) << task;
+      }
+      deduped.UpdateMajority(2, &deduped_majority);
+      EXPECT_EQ(ResultDigest(deduped_majority),
+                ResultDigest(InferSingleChoiceMajority(unique_prefix, 2)));
+    }
   }
 }
 
